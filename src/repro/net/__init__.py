@@ -21,16 +21,18 @@ real non-blocking socket pair.  For fan-in beyond one scope registry,
 :class:`~repro.net.shard.ShardedScopeManager` partitions the signal
 namespace across per-shard managers by stable name hash — and its
 multi-core counterpart :class:`~repro.net.shard.ProcessShardedScopeManager`
-puts each shard in a worker *process* (see :mod:`repro.net.worker`),
-supervised with WAL-backed respawn by
-:class:`~repro.net.supervisor.ProcessShardSupervisor`.
+puts each shard in a worker *process* (see :mod:`repro.net.worker`).
+:class:`~repro.net.supervisor.ShardSupervisor` and
+:class:`~repro.net.supervisor.ProcessShardSupervisor` add WAL-backed
+restart over the same two backends.  All four are configurations of one
+:class:`~repro.net.shard.ShardRouter` (ring, ledgers, ``__obs.`` gate,
+metric mounts) and, for the supervisors, one supervision layer.
 """
 
 from repro.net.client import ScopeClient
 from repro.net.faults import FaultPlan, FaultyLink, faulty_pair
 from repro.net.protocol import (
     PROTOCOL_VERSION,
-    SUPPORTED_VERSIONS,
     Frame,
     FrameDecoder,
     FrameKind,
@@ -90,7 +92,6 @@ __all__ = [
     "ProcessShardedScopeManager",
     "ProtocolError",
     "QueryMultiplexer",
-    "SUPPORTED_VERSIONS",
     "ScopeClient",
     "ScopeServer",
     "SharedQuery",

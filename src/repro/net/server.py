@@ -76,7 +76,6 @@ class ClientState:
     #: ``"transport"`` — the endpoint died underneath us; ``"server"`` —
     #: explicit server-side disconnect.
     disconnect_reason: Optional[str] = None
-    peer_version: Optional[int] = None
     #: Binary name interning table: wire id → signal name.
     names: Dict[int, str] = field(default_factory=dict)
 
@@ -290,14 +289,12 @@ class ScopeServer:
             cells["dropped_late"].inc(n - accepted)
         elif frame.kind is FrameKind.NAME_DEF:
             state.names[frame.name_id] = frame.name
-        elif frame.kind is FrameKind.HELLO:
-            state.peer_version = frame.version
         elif frame.kind is FrameKind.QUERY:
             # The continuous-query channel: compile/subscribe requests.
             # Compile failures reply in-band; malformed payloads raise
             # ProtocolError through the caller and disconnect.
             self.queries.handle(state, frame.control)
-        else:
+        elif frame.kind is not FrameKind.HELLO:  # HELLO: version already checked
             # DELIVER/CONTROL belong to the router↔worker link (see
             # repro.net.worker); a client session sending them is
             # confused or hostile either way — disconnect it.

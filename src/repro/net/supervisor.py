@@ -1,24 +1,28 @@
-"""Shard supervision: heartbeat failure detection and replay catch-up.
+"""Shard supervision: WAL-before-send, liveness monitor, replay catch-up.
 
-The fault-tolerance story for the sharded telemetry plane.  Each shard's
-:class:`~repro.core.manager.ScopeManager` runs inside a
-:class:`ShardHost` on a *private* main loop (its own virtual clock), and
-a :class:`ShardSupervisor` on the router loop:
+The fault-tolerance story for the sharded telemetry plane.  One
+supervision layer, :class:`SupervisedRouter`, runs on the *router* loop
+over either shard backend — an in-process :class:`ShardHost` on a
+private loop (:class:`ShardSupervisor`) or a worker process behind a
+:class:`~repro.net.worker.WorkerHandle` (:class:`ProcessShardSupervisor`,
+whose child runs a :class:`ShardHost` too).  It:
 
 * **writes ahead** — every offered push is recorded to the shard's
   :class:`~repro.capture.writer.CaptureWriter` (a per-shard write-ahead
   log) *before* delivery, so samples sent into the void during an
   undetected crash window are never lost, only deferred;
-* **detects** — each host beats a heartbeat timer on its private loop;
-  a monitor timer on the router loop advances every RUNNING host's loop
-  and compares beat counts.  A host whose beats freeze for
-  ``miss_threshold`` consecutive monitor ticks (wedged), or that has
-  explicitly crashed (fault injection, or an exception quarantined
-  during ingest), is declared dead;
-* **restarts** — a fresh host is built by the same ``scope_factory``,
-  and its entire history is re-driven from the WAL by a
+* **detects** — a monitor timer on the router loop asks each backend
+  for a one-tick liveness verdict.  An in-process host is dead when it
+  has explicitly crashed (fault injection, or an exception quarantined
+  during ingest) or when its heartbeat — a timer on its private loop —
+  froze for ``miss_threshold`` consecutive ticks (wedged).  A worker is
+  dead on a dead pid, a broken link, a crash report, or control-channel
+  silence past :data:`BEAT_GRACE_S`;
+* **restarts** — a fresh backend is built by the same ``scope_factory``
+  and caught up by :meth:`ShardHost.restore`: the rotation snapshot (if
+  any) is loaded, then the WAL suffix is re-driven by a
   :class:`~repro.capture.replay.ReplaySource` on the fresh private loop
-  from t=0 through the router's current instant.
+  through the router's current instant.
 
 Byte-identical recovery
 -----------------------
@@ -45,6 +49,20 @@ argument:
 A *stall* that clears before detection never restarts: deliveries
 accumulate in the host's inbox and drain in order at their recorded
 instants on :meth:`ShardHost.resume` — the same interleaving again.
+For worker processes the socket's total order plays the inbox's role.
+
+Snapshots and WAL rotation
+--------------------------
+
+:meth:`SupervisedRouter.snapshot_shard` pins a shard's data plane to the
+router instant, writes it to a state file and retires every WAL segment
+it covers, so recovery becomes ``snapshot + suffix replay`` and WAL disk
+stays bounded by the snapshot cadence.  The state file is fail-closed:
+a magic, a format version, the payload length and a crc32 guard the
+pickled snapshot, and any mismatch raises
+:class:`~repro.capture.format.CaptureFormatError` instead of restoring
+wrong state (completed segments are already gone, so no fallback
+exists).
 
 Caveat: byte-identity covers signals registered by the
 ``scope_factory``.  Signals *auto-created* by the server on first
@@ -57,6 +75,8 @@ from __future__ import annotations
 import enum
 import os
 import pickle
+import struct
+import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,21 +84,26 @@ from typing import Callable, Deque, Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.capture.format import CaptureFormatError
 from repro.capture.reader import CaptureReader
 from repro.capture.replay import ReplaySource
 from repro.capture.writer import CaptureWriter
 from repro.core.manager import RESERVED_PREFIX, ScopeManager
-from repro.core.scope import ScopeError
 from repro.eventloop.loop import MainLoop
-from repro.net.shard import DEFAULT_REPLICAS, HashRing, ShardStats
+from repro.net.shard import ShardRouter, ShardStats, WorkerPlane
+from repro.net.worker import WorkerHandle
 
 __all__ = [
+    "BEAT_GRACE_S",
     "ProcessShardSupervisor",
     "ShardDown",
     "ShardHost",
     "ShardState",
     "ShardSupervisor",
+    "SupervisedRouter",
     "SupervisionStats",
+    "read_state_file",
+    "write_state_file",
 ]
 
 #: Builds one shard's scopes/signals on a fresh manager.  Called with
@@ -86,6 +111,55 @@ __all__ = [
 #: restart* — it must be deterministic, and it should start polling
 #: (replay re-drives the polls).
 ScopeFactory = Callable[[ScopeManager, int], None]
+
+#: Real seconds of control-channel silence after which a live worker is
+#: declared wedged.  Generous on purpose: monitor ticks on a virtual
+#: loop burn almost no wall clock, so only a genuinely silent child
+#: trips it.
+BEAT_GRACE_S = 60.0
+
+#: The ingest ledger a snapshot carries and a restart rebuilds.
+_LEDGER = ("offered", "accepted", "dropped_late")
+
+#: State file header: magic, format version, payload length, crc32 of
+#: the payload (little-endian); the pickled snapshot dict follows.
+_STATE_HEADER = struct.Struct("<4sHQI")
+_STATE_MAGIC = b"GSST"
+_STATE_VERSION = 1
+
+
+def write_state_file(path: Path, snap: dict) -> None:
+    """Atomically write a shard snapshot behind its checked header."""
+    payload = pickle.dumps(snap)
+    tmp = path.with_suffix(".state.tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(
+            _STATE_HEADER.pack(
+                _STATE_MAGIC, _STATE_VERSION, len(payload), zlib.crc32(payload)
+            )
+        )
+        fh.write(payload)
+    os.replace(tmp, path)  # atomic: never a torn state file
+
+
+def read_state_file(path: Union[str, Path]) -> dict:
+    """Load a shard snapshot; any damage raises :class:`CaptureFormatError`."""
+    raw = Path(path).read_bytes()
+    if len(raw) < _STATE_HEADER.size:
+        raise CaptureFormatError(f"state file {path}: truncated header")
+    magic, version, length, crc = _STATE_HEADER.unpack_from(raw)
+    if magic != _STATE_MAGIC:
+        raise CaptureFormatError(f"state file {path}: bad magic {magic!r}")
+    if version != _STATE_VERSION:
+        raise CaptureFormatError(f"state file {path}: unsupported version {version}")
+    payload = memoryview(raw)[_STATE_HEADER.size :]
+    if len(payload) != length:
+        raise CaptureFormatError(
+            f"state file {path}: payload of {len(payload)} bytes, header says {length}"
+        )
+    if zlib.crc32(payload) != crc:
+        raise CaptureFormatError(f"state file {path}: payload checksum mismatch")
+    return pickle.loads(payload)
 
 
 class ShardState(enum.Enum):
@@ -101,10 +175,10 @@ class ShardDown(RuntimeError):
 class SupervisionStats(ShardStats):
     """:class:`~repro.net.shard.ShardStats` plus failover counters.
 
-    ``lost_deliveries`` counts pushes that hit a crashed host
-    (WAL-covered); ``replayed_samples`` counts samples re-driven by
-    restart catch-up.  ``last_restart_at`` is a timestamp, not a
-    counter (excluded from ``as_dict``/``fold``).
+    ``lost_deliveries`` counts pushes that hit a dead backend
+    (WAL-covered); ``replayed_samples`` counts samples re-driven by the
+    latest restart's catch-up.  ``last_restart_at`` is a timestamp, not
+    a counter (excluded from ``as_dict``/``fold``).
     """
 
     COUNTER_FIELDS = ShardStats.COUNTER_FIELDS + (
@@ -149,7 +223,8 @@ class ShardHost:
     stops advancing), crashed (deliveries raise :class:`ShardDown`), and
     resumed.  The supervisor detects the first two through the beat
     counter and replaces the host wholesale; a stall that clears first
-    drains its inbox in recorded order and never diverges.
+    drains its inbox in recorded order and never diverges.  A worker
+    child runs one too, driven by the router's messages.
     """
 
     def __init__(
@@ -176,6 +251,10 @@ class ShardHost:
         self.stats = stats if stats is not None else SupervisionStats()
         self._inbox: Deque[_Delivery] = deque()
         self.crash_error: Optional[BaseException] = None
+        #: Set by :meth:`restore`: whether a snapshot was loaded, and
+        #: how many WAL samples were re-driven.
+        self.restored = False
+        self.replayed_samples = 0
 
     def _beat(self, lost: int = 0) -> bool:
         self.beats += 1
@@ -209,10 +288,7 @@ class ShardHost:
             raise ShardDown(
                 f"shard {self.shard_id} ingest raised: {exc!r}"
             ) from exc
-        n = len(times)
-        self.stats.offered += n
-        self.stats.accepted += accepted
-        self.stats.dropped_late += n - accepted
+        self.stats.tally(len(times), accepted)
         return accepted
 
     def deliver(self, now: float, name: str, times, values) -> int:
@@ -250,6 +326,63 @@ class ShardHost:
             self.loop.run_through(now)
 
     # ------------------------------------------------------------------
+    # Snapshot / restore
+    # ------------------------------------------------------------------
+    def snapshot_state(self) -> dict:
+        """The data plane and ingest ledger at this host's current instant.
+
+        Only a RUNNING host may snapshot: a stalled host's parked inbox
+        (and a crashed host's lost one) holds WAL'd-but-unapplied
+        deliveries the capture would silently drop.
+        """
+        if self.state is not ShardState.RUNNING:
+            raise ShardDown(
+                f"shard {self.shard_id} is {self.state.value}; only a RUNNING "
+                "shard can snapshot (parked deliveries would be lost)"
+            )
+        return {
+            "now": self.loop.clock.now(),
+            "manager": self.manager.state_dict(),
+            "stats": {key: getattr(self.stats, key) for key in _LEDGER},
+        }
+
+    def restore(
+        self,
+        state_path: Optional[Union[str, Path]],
+        wal_path: Optional[Union[str, Path]],
+        now: float,
+    ) -> None:
+        """Catch this fresh host up through router instant ``now``.
+
+        The one restart path, in-process and in a worker child alike.
+        A rotation snapshot at ``state_path`` holds everything up to its
+        instant: dry-advance there (the factory's timers reproduce the
+        polls and beats deterministically), load the captured data plane
+        and ledger over it.  Then the WAL segments under ``wal_path``
+        (only the post-rotation suffix; a torn tail from a real process
+        kill is skipped by ``recover_tail``) replay at their recorded
+        instants through ``now``.  A damaged state file raises
+        :class:`~repro.capture.format.CaptureFormatError`.
+        """
+        if state_path is not None and Path(state_path).exists():
+            snap = read_state_file(state_path)
+            self.loop.run_through(float(snap["now"]))
+            self.manager.load_state(snap["manager"])
+            for key in _LEDGER:
+                setattr(self.stats, key, int(snap["stats"][key]))
+            self.restored = True
+        if wal_path is not None and any(Path(wal_path).glob("*.gseg")):
+            with CaptureReader(wal_path, recover_tail=True) as reader:
+                source = ReplaySource(reader, _HostTarget(self))
+                self.loop.attach(source)
+                # Every WAL'd push happened at or before ``now``: the
+                # source runs dry and detaches itself before the close.
+                self.loop.run_through(float(now))
+            self.replayed_samples = source.delivered_samples
+        else:
+            self.loop.run_through(float(now))
+
+    # ------------------------------------------------------------------
     # Fault injection / recovery hooks
     # ------------------------------------------------------------------
     def stall(self) -> None:
@@ -279,8 +412,175 @@ class ShardHost:
         self._inbox.clear()
 
 
-class ShardSupervisor:
-    """Routes pushes to supervised shard hosts; detects and heals faults.
+class SupervisedRouter(ShardRouter):
+    """The supervision layer, over either shard backend.
+
+    Owns the per-shard WALs (written before every send), the monitor
+    timer on the router loop, :meth:`restart_shard` and
+    :meth:`snapshot_shard` with WAL rotation.  A backend plugs in three
+    hooks: :meth:`_send` (deliver, or count ``lost_deliveries`` when the
+    backend is down), :meth:`_failed` (the one-tick liveness verdict)
+    and :meth:`_spawn` (respawn: retire the old backend, build a fresh
+    one caught up through the router instant).
+
+    The :class:`SupervisionStats` ledgers belong to the router for the
+    life of each shard: a restart resets the ingest ledger, the fresh
+    backend rebuilds it from the snapshot and the WAL, and every metric
+    mount stays live.
+    """
+
+    stats_cls = SupervisionStats
+    #: Snapshot a shard right after its restart, retiring the replayed
+    #: WAL history at once.
+    rotate_on_restart = False
+
+    def __init__(
+        self,
+        loop: MainLoop,
+        wal_root: Union[str, Path],
+        shards: int,
+        scope_factory: Optional[ScopeFactory],
+        monitor_interval_ms: float,
+        segment_samples: int,
+        auto_start: bool,
+    ) -> None:
+        self.wal_root = Path(wal_root)
+        self.scope_factory = scope_factory
+        self.monitor_interval_ms = float(monitor_interval_ms)
+        self.segment_samples = int(segment_samples)
+        self._monitor_id: Optional[int] = None
+        self._restart_epoch = 0  # bumps topology_version on every restart
+        self._wals = {i: self._new_wal(i) for i in range(shards)}
+        super().__init__(shards, loop)
+        if auto_start:
+            self.start()
+
+    def _new_wal(self, shard_id: int) -> CaptureWriter:
+        return CaptureWriter(
+            self.wal_root / f"shard-{shard_id:02d}",
+            segment_samples=self.segment_samples,
+        )
+
+    # ------------------------------------------------------------------
+    # Backend hooks
+    # ------------------------------------------------------------------
+    def _send(self, shard_id: int, now: float, name: str, times, values) -> int:
+        """Deliver a WAL'd push; count it lost if the backend is down."""
+        raise NotImplementedError
+
+    def _failed(self, shard_id: int, now: float) -> bool:
+        """One monitor tick's liveness verdict: True restarts the shard."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Monitor lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Arm the liveness monitor on the router loop."""
+        if self._monitor_id is None:
+            self._monitor_id = self.loop.timeout_add(
+                self.monitor_interval_ms, self._monitor
+            )
+
+    def stop(self) -> None:
+        """Disarm the monitor (faults go undetected while stopped)."""
+        if self._monitor_id is not None:
+            self.loop.remove(self._monitor_id)
+            self._monitor_id = None
+
+    @property
+    def monitoring(self) -> bool:
+        return self._monitor_id is not None
+
+    def _monitor(self, lost: int = 0) -> bool:
+        now = self.loop.clock.now()
+        for shard_id in sorted(self._backends):
+            if self._failed(shard_id, now):
+                self.restart_shard(shard_id)
+        return True
+
+    # ------------------------------------------------------------------
+    # WAL-before-send
+    # ------------------------------------------------------------------
+    def push_obs(self, name: str, times, values) -> int:
+        """Trusted reserved-namespace entry: WAL first, then deliver.
+
+        A push that lands on a dead backend returns 0 to the caller, but
+        the WAL already holds it: the restart replays it into the fresh
+        backend at this exact instant, so nothing is lost end to end.
+        """
+        n = len(times)
+        if n == 0:
+            return 0
+        shard_id = self.shard_of(name)
+        now = self.loop.clock.now()
+        self._wals[shard_id].on_push(name, times, values, now)
+        self._stats[shard_id].wal_bytes += 16 * n  # two float64 columns
+        return self._send(shard_id, now, name, times, values)
+
+    # ------------------------------------------------------------------
+    # Failover
+    # ------------------------------------------------------------------
+    def restart_shard(self, shard_id: int):
+        """Replace a dead backend and catch it up: snapshot + WAL replay.
+
+        The WAL's partial segment is flushed first so the fresh backend
+        sees every recorded push; the replacement is built at the
+        router's current instant and caught up before this returns, so
+        no new delivery can race the recovery.  Per the module argument,
+        the result is byte-identical to a backend that never died.
+        """
+        self._wals[shard_id].flush_segment()
+        now = self.loop.clock.now()
+        stats = self._stats[shard_id]
+        stats.restarts += 1
+        stats.last_restart_at = now
+        for key in _LEDGER:
+            setattr(stats, key, 0)
+        backend = self._backends[shard_id] = self._spawn(shard_id, now)
+        stats.replayed_samples = backend.replayed_samples
+        self._restart_epoch += 1
+        if self.rotate_on_restart:
+            self.snapshot_shard(shard_id)
+        return backend
+
+    def state_path(self, shard_id: int) -> Path:
+        """Snapshot file for one shard (sibling of its WAL directory)."""
+        return self.wal_root / f"shard-{shard_id:02d}.state"
+
+    def snapshot_shard(self, shard_id: int) -> dict:
+        """Snapshot one shard's data plane and retire its WAL segments.
+
+        The backend advances through the router's current instant (so
+        the state is pinned to *now*), its data plane and ingest ledger
+        go atomically to :meth:`state_path`, and every WAL segment — all
+        covered by the snapshot — is deleted, with a fresh writer
+        continuing in the same directory (segment numbering restarts at
+        zero, preserving the reader's contiguous-from-0 contract).  A
+        backend that cannot pin its state — a stalled or crashed host, a
+        dead worker — raises, and the WAL is left intact.
+        """
+        backend = self._backends[shard_id]
+        backend.advance(self.loop.clock.now())
+        snap = backend.snapshot_state()
+        write_state_file(self.state_path(shard_id), snap)
+        wal = self._wals[shard_id]
+        wal.close()  # flushes the live segment: nothing escapes the snapshot
+        for segment in sorted(wal.path.glob("*.gseg")):
+            segment.unlink()
+        self._wals[shard_id] = self._new_wal(shard_id)
+        return snap
+
+    def close(self, timeout_s: float = 10.0) -> None:
+        """Stop monitoring, release the backends, seal the WALs."""
+        self.stop()
+        super().close(timeout_s)
+        for wal in self._wals.values():
+            wal.close()
+
+
+class ShardSupervisor(SupervisedRouter):
+    """Supervised in-process shard hosts behind the router.
 
     Satisfies the manager protocol a
     :class:`~repro.net.server.ScopeServer` consumes (``push_samples``,
@@ -313,6 +613,9 @@ class ShardSupervisor:
         ``(miss_threshold + 1) * monitor_interval_ms``.
     segment_samples:
         WAL segment flush threshold (smaller = more, smaller segments).
+    rotate_on_restart:
+        Snapshot each restarted shard at once (see
+        :attr:`SupervisedRouter.rotate_on_restart`).
     """
 
     def __init__(
@@ -324,13 +627,10 @@ class ShardSupervisor:
         heartbeat_ms: float = 50.0,
         monitor_interval_ms: Optional[float] = None,
         miss_threshold: int = 3,
-        replicas: int = DEFAULT_REPLICAS,
         segment_samples: int = 1 << 12,
         auto_start: bool = True,
         rotate_on_restart: bool = False,
     ) -> None:
-        if shards <= 0:
-            raise ValueError(f"shards must be positive: {shards}")
         if miss_threshold <= 0:
             raise ValueError(f"miss_threshold must be positive: {miss_threshold}")
         interval = heartbeat_ms if monitor_interval_ms is None else monitor_interval_ms
@@ -339,360 +639,108 @@ class ShardSupervisor:
                 "monitor interval shorter than the heartbeat would declare "
                 f"healthy hosts dead: {interval} < {heartbeat_ms}"
             )
-        self.loop = loop
-        self.wal_root = Path(wal_root)
-        self.scope_factory = scope_factory
         self.heartbeat_ms = float(heartbeat_ms)
-        self.monitor_interval_ms = float(interval)
         self.miss_threshold = int(miss_threshold)
-        self.segment_samples = int(segment_samples)
         self.rotate_on_restart = bool(rotate_on_restart)
-        self._ring = HashRing(range(shards), replicas=replicas)
-        self._route_cache: Dict[str, int] = {}
-        self._hosts: Dict[int, ShardHost] = {}
-        self._wals: Dict[int, CaptureWriter] = {}
-        for shard_id in range(shards):
-            self._hosts[shard_id] = ShardHost(
-                shard_id, scope_factory, self.heartbeat_ms
-            )
-            self._wals[shard_id] = CaptureWriter(
-                self.wal_root / f"shard-{shard_id:02d}",
-                segment_samples=self.segment_samples,
-            )
-        self._beats_seen: Dict[int, int] = {i: 0 for i in self._hosts}
-        self._frozen_ticks: Dict[int, int] = {i: 0 for i in self._hosts}
-        self._monitor_id: Optional[int] = None
-        self._restart_epoch = 0  # bumps topology_version on every restart
-        #: Replaced hosts, retained for post-mortem (crash_error, stats).
+        self._beats_seen: Dict[int, int] = {}
+        self._frozen_ticks: Dict[int, int] = {}
+        #: Replaced hosts, retained for post-mortem (``crash_error``).
         self.quarantined: List[ShardHost] = []
-        self._metrics_registry = None
-        self._metrics_prefix = "shard"
-        if auto_start:
-            self.start()
-
-    # ------------------------------------------------------------------
-    # Self-instrumentation
-    # ------------------------------------------------------------------
-    def register_metrics(self, registry, prefix: str = "shard") -> None:
-        """Mount every host's supervision counters into ``registry``.
-
-        Cells land as ``<prefix><shard_id>.<field>`` (e.g.
-        ``shard0.dropped_late``).  A restart replaces the host — and with
-        it the stats cells — so the supervisor remembers the registry
-        and re-mounts the fresh cells in :meth:`restart_shard`.
-        """
-        self._metrics_registry = registry
-        self._metrics_prefix = prefix
-        for shard_id in sorted(self._hosts):
-            self._hosts[shard_id].stats.register_metrics(
-                registry, f"{prefix}{shard_id}."
-            )
-
-    # ------------------------------------------------------------------
-    # Monitor lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Arm the heartbeat monitor on the router loop."""
-        if self._monitor_id is None:
-            self._monitor_id = self.loop.timeout_add(
-                self.monitor_interval_ms, self._monitor
-            )
-
-    def stop(self) -> None:
-        """Disarm the monitor (faults go undetected while stopped)."""
-        if self._monitor_id is not None:
-            self.loop.remove(self._monitor_id)
-            self._monitor_id = None
-
-    @property
-    def monitoring(self) -> bool:
-        return self._monitor_id is not None
-
-    def _monitor(self, lost: int = 0) -> bool:
-        now = self.loop.clock.now()
-        for shard_id in sorted(self._hosts):
-            host = self._hosts[shard_id]
-            if host.state is ShardState.CRASHED:
-                # Explicit crash (injection or ingest quarantine):
-                # no need to wait out missed beats.
-                self.restart_shard(shard_id)
-                continue
-            host.advance(now)
-            if host.beats == self._beats_seen[shard_id]:
-                host.stats.missed_beats += 1
-                self._frozen_ticks[shard_id] += 1
-                if self._frozen_ticks[shard_id] >= self.miss_threshold:
-                    self.restart_shard(shard_id)
-            else:
-                self._beats_seen[shard_id] = host.beats
-                self._frozen_ticks[shard_id] = 0
-        return True
-
-    # ------------------------------------------------------------------
-    # Failover
-    # ------------------------------------------------------------------
-    def restart_shard(self, shard_id: int) -> ShardHost:
-        """Replace a dead host and catch it up from the WAL.
-
-        The fresh host is built by the same factory on a fresh private
-        loop at t=0; the WAL (flushed first; a torn tail from a real
-        process kill is skipped by ``recover_tail``) replays through the
-        router's current instant via an exact-timeline
-        :class:`~repro.capture.replay.ReplaySource`.  Per the module
-        argument, the result is byte-identical to a host that never
-        died.  The replaced host moves to :attr:`quarantined`.
-        """
-        old = self._hosts[shard_id]
-        wal = self._wals[shard_id]
-        wal.flush_segment()
-        now = self.loop.clock.now()
-        stats = SupervisionStats(
-            tap_bytes=old.stats.tap_bytes,
-            wal_bytes=old.stats.wal_bytes,
-            restarts=old.stats.restarts + 1,
-            missed_beats=old.stats.missed_beats,
-            lost_deliveries=old.stats.lost_deliveries,
-            last_restart_at=now,
+        super().__init__(
+            loop, wal_root, shards, scope_factory, interval, segment_samples, auto_start
         )
-        host = ShardHost(shard_id, self.scope_factory, self.heartbeat_ms, stats=stats)
-        state_path = self.state_path(shard_id)
-        if state_path.exists():
-            # A rotation snapshot holds everything up to its instant:
-            # dry-advance the fresh host there (its timers reproduce the
-            # polls and beats deterministically), load the captured
-            # data-plane state over it, and let the remaining (post-
-            # rotation) segments replay only the suffix.
-            with open(state_path, "rb") as fh:
-                snap = pickle.load(fh)
-            host.loop.run_through(float(snap["now"]))
-            host.manager.load_state(snap["manager"])
-            stats.offered = int(snap["stats"]["offered"])
-            stats.accepted = int(snap["stats"]["accepted"])
-            stats.dropped_late = int(snap["stats"]["dropped_late"])
-        if wal.segments_written:
-            reader = CaptureReader(wal.path, recover_tail=True)
-            source = ReplaySource(reader, _HostTarget(host))
-            host.loop.attach(source)
-            host.loop.run_through(now)
-            stats.replayed_samples = source.delivered_samples
-        else:
-            host.loop.run_through(now)
-        self._hosts[shard_id] = host
+
+    def _spawn(self, shard_id: int, now: float) -> ShardHost:
+        host = ShardHost(
+            shard_id, self.scope_factory, self.heartbeat_ms, stats=self._stats[shard_id]
+        )
+        host.restore(self.state_path(shard_id), self._wals[shard_id].path, now)
+        if shard_id in self._backends:
+            self.quarantined.append(self._backends[shard_id])
         self._beats_seen[shard_id] = host.beats
         self._frozen_ticks[shard_id] = 0
-        self._restart_epoch += 1
-        self.quarantined.append(old)
-        if self._metrics_registry is not None:
-            # The fresh host carries fresh cells; swap them in under the
-            # same names so the registry keeps reading live truth.
-            mount_prefix = f"{self._metrics_prefix}{shard_id}."
-            self._metrics_registry.unmount_prefix(mount_prefix)
-            host.stats.register_metrics(self._metrics_registry, mount_prefix)
-        if self.rotate_on_restart:
-            # The fresh host embodies the full WAL history; snapshot it
-            # and retire the replayed segments immediately.
-            self.snapshot_shard(shard_id)
         return host
 
-    # ------------------------------------------------------------------
-    # Snapshot + WAL rotation
-    # ------------------------------------------------------------------
-    def state_path(self, shard_id: int) -> Path:
-        """Snapshot file for one shard (sibling of its WAL directory)."""
-        return self.wal_root / f"shard-{shard_id:02d}.state"
+    def _send(self, shard_id: int, now: float, name: str, times, values) -> int:
+        try:
+            return self._backends[shard_id].deliver(now, name, times, values)
+        except ShardDown:
+            self._stats[shard_id].lost_deliveries += 1
+            return 0
 
-    def snapshot_shard(self, shard_id: int) -> dict:
-        """Snapshot a RUNNING shard's data plane and retire its WAL.
-
-        The host advances through the router's current instant (so the
-        state is pinned to *now*), its full data-plane state and ingest
-        ledger are written atomically to :meth:`state_path`, and every
-        WAL segment — all fully represented by the snapshot — is
-        deleted, with a fresh writer continuing in the same directory.
-        Recovery becomes ``snapshot + suffix replay`` instead of
-        ``replay from t=0``, and WAL disk stays bounded by the snapshot
-        cadence instead of growing with history.
-
-        Only a RUNNING host may snapshot: a stalled host's parked inbox
-        (and a crashed host's lost one) holds WAL'd-but-unapplied
-        deliveries the state capture would silently drop.
-        """
-        host = self._hosts[shard_id]
-        if host.state is not ShardState.RUNNING:
-            raise ShardDown(
-                f"shard {shard_id} is {host.state.value}; only a RUNNING "
-                "shard can snapshot (parked deliveries would be lost)"
-            )
-        now = self.loop.clock.now()
+    def _failed(self, shard_id: int, now: float) -> bool:
+        host = self._backends[shard_id]
+        if host.state is ShardState.CRASHED:
+            # Explicit crash (injection or ingest quarantine): no need
+            # to wait out missed beats.
+            return True
         host.advance(now)
-        snap = {
-            "now": host.loop.clock.now(),
-            "manager": host.manager.state_dict(),
-            "stats": {
-                "offered": host.stats.offered,
-                "accepted": host.stats.accepted,
-                "dropped_late": host.stats.dropped_late,
-            },
-        }
-        state_path = self.state_path(shard_id)
-        tmp = state_path.with_suffix(".state.tmp")
-        with open(tmp, "wb") as fh:
-            pickle.dump(snap, fh)
-        os.replace(tmp, state_path)  # atomic: never a torn state file
-        self._rotate_wal(shard_id)
-        return snap
-
-    def _rotate_wal(self, shard_id: int) -> None:
-        """Retire every WAL segment; continue with a fresh writer.
-
-        Called only after the state file covering those segments is
-        durably in place.  The live (partial) segment is flushed by
-        ``close()`` first, so nothing WAL'd escapes the snapshot; the
-        fresh writer restarts segment numbering at zero in the same
-        directory, preserving the reader's contiguous-from-0 contract.
-        """
-        old_writer = self._wals[shard_id]
-        path = old_writer.path
-        old_writer.close()
-        for segment in sorted(path.glob("*.gseg")):
-            segment.unlink()
-        self._wals[shard_id] = CaptureWriter(
-            path, segment_samples=self.segment_samples
-        )
+        if host.beats != self._beats_seen[shard_id]:
+            self._beats_seen[shard_id] = host.beats
+            self._frozen_ticks[shard_id] = 0
+            return False
+        self._stats[shard_id].missed_beats += 1
+        self._frozen_ticks[shard_id] += 1
+        return self._frozen_ticks[shard_id] >= self.miss_threshold
 
     # ------------------------------------------------------------------
     # Fault injection passthrough (shard-role faults)
     # ------------------------------------------------------------------
     def crash_shard(self, shard_id: int) -> None:
-        self._hosts[shard_id].crash()
+        self._backends[shard_id].crash()
 
     def stall_shard(self, shard_id: int) -> None:
-        self._hosts[shard_id].stall()
+        self._backends[shard_id].stall()
 
     def resume_shard(self, shard_id: int) -> None:
-        self._hosts[shard_id].resume()
+        self._backends[shard_id].resume()
 
     # ------------------------------------------------------------------
-    # Routing + manager protocol
+    # Hosts + manager protocol
     # ------------------------------------------------------------------
-    @property
-    def n_shards(self) -> int:
-        return len(self._hosts)
-
     @property
     def hosts(self) -> List[ShardHost]:
-        return [self._hosts[i] for i in sorted(self._hosts)]
+        return [self._backends[i] for i in sorted(self._backends)]
 
     def host(self, shard_id: int) -> ShardHost:
-        try:
-            return self._hosts[shard_id]
-        except KeyError:
-            raise ValueError(f"unknown shard id: {shard_id}") from None
-
-    def shard_of(self, name: str) -> int:
-        shard_id = self._route_cache.get(name)
-        if shard_id is None:
-            shard_id = self._ring.locate(name)
-            self._route_cache[name] = shard_id
-        return shard_id
+        """The current host for an explicit shard id."""
+        return self._backend(shard_id)
 
     @property
     def topology_version(self) -> int:
         """Folds restarts in: a fresh manager invalidates carried caches."""
         return self._restart_epoch * 1_000_003 + sum(
-            host.manager.topology_version for host in self._hosts.values()
+            host.manager.topology_version for host in self._backends.values()
         )
 
     def carries(self, name: str) -> bool:
-        return self._hosts[self.shard_of(name)].manager.carries(name)
+        return self._backends[self.shard_of(name)].manager.carries(name)
 
     def auto_create(self, name: str) -> bool:
-        return self._hosts[self.shard_of(name)].manager.auto_create(name)
-
-    def push_sample(self, name: str, time_ms: float, value: float) -> int:
-        return self.push_samples(name, (time_ms,), (value,))
-
-    def push_samples(self, name: str, times, values) -> int:
-        """WAL first, then deliver to the home host.
-
-        A push that lands on a crashed host returns 0 to the caller, but
-        the WAL already holds it: the restart replays it into the fresh
-        host at this exact instant, so nothing is lost end to end.
-
-        ``__obs.``-reserved names are rejected here, *before* the WAL
-        write — a reserved push must never become durable history.  The
-        self-instrumentation publisher enters through :meth:`push_obs`.
-        """
-        if name.startswith(RESERVED_PREFIX):
-            raise ScopeError(
-                f"signal name {name!r} is reserved: the {RESERVED_PREFIX!r} "
-                "namespace carries self-instrumentation samples "
-                "(published via MetricsPublisher, not user pushes)"
-            )
-        return self.push_obs(name, times, values)
-
-    def push_obs(self, name: str, times, values) -> int:
-        """Trusted reserved-namespace entry: same WAL-first delivery."""
-        shard_id = self.shard_of(name)
-        now = self.loop.clock.now()
-        self._wals[shard_id].on_push(name, times, values, now)
-        host = self._hosts[shard_id]
-        host.stats.wal_bytes += 16 * len(times)  # two float64 columns
-        try:
-            return host.deliver(now, name, times, values)
-        except ShardDown:
-            host.stats.lost_deliveries += 1
-            return 0
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    def states(self) -> Dict[int, ShardState]:
-        return {i: self._hosts[i].state for i in sorted(self._hosts)}
-
-    def shard_stats(self) -> List[SupervisionStats]:
-        """Per-shard counters in shard-id order (live references)."""
-        return [self._hosts[i].stats for i in sorted(self._hosts)]
-
-    def totals(self) -> Dict[str, int]:
-        """Counters summed across shards, supervision included."""
-        out: Dict[str, int] = {}
-        for host in self._hosts.values():
-            for key, value in host.stats.as_dict().items():
-                out[key] = out.get(key, 0) + value
-        return out
-
-    def close(self) -> None:
-        """Stop monitoring and seal the WALs (flushes partial segments)."""
-        self.stop()
-        for wal in self._wals.values():
-            wal.close()
+        return self._backends[self.shard_of(name)].manager.auto_create(name)
 
 
-class ProcessShardSupervisor:
-    """WAL-before-send routing to worker *processes*, with respawn.
+class ProcessShardSupervisor(SupervisedRouter, WorkerPlane):
+    """Supervised worker *processes* behind the router, with respawn.
 
-    The process counterpart of :class:`ShardSupervisor`: the same
-    consistent-hash routing and the same write-ahead discipline, but the
-    shard hosts live in child processes behind
-    :class:`~repro.net.worker.WorkerHandle` links, so a worker can
-    genuinely die (``kill -9``) and recovery is a real OS-level respawn:
+    The process counterpart of :class:`ShardSupervisor`: the same ring
+    and the same supervision layer, but the shard hosts live in child
+    processes behind :class:`~repro.net.worker.WorkerHandle` links, so a
+    worker can genuinely die (``kill -9``) and recovery is a real
+    OS-level respawn:
 
     * every push is WAL'd on the router side *before* the non-blocking
       send, so bytes in flight to a dying process are never lost;
     * liveness is OS-truth first — ``Process.is_alive()`` (immediate for
-      a SIGKILLed child) and a broken pipe both mark the worker down —
-      with the real-time heartbeat silence of the control channel as a
-      backstop for wedged-but-alive children (``beat_grace_s`` is real
-      seconds and generous: monitor ticks on a virtual loop burn ~no
-      wall clock, so only a genuinely silent child can trip it);
+      a SIGKILLed child), a broken pipe and a crash report all mark the
+      worker dead — with control-channel silence past
+      :data:`BEAT_GRACE_S` as a backstop for wedged-but-alive children;
     * respawn is synchronous: the WAL is flushed, a fresh worker starts
-      with ``wal_path``/``state_path``, restores the rotation snapshot
-      (if any), replays the remaining segments, and only then sends
-      ``ready`` — the router cannot race new traffic past recovery, so
-      the restarted worker is byte-identical to one that never died
-      (the in-process equivalence argument, plus the socket's total
-      order).
+      with ``wal_path``/``state_path``, runs :meth:`ShardHost.restore`,
+      and only then sends ``ready`` — the router cannot race new traffic
+      past recovery, so the restarted worker is byte-identical to one
+      that never died (the in-process equivalence argument, plus the
+      socket's total order).
 
     :meth:`snapshot_shard` piggybacks on that same order: the snapshot
     request is queued *behind* every prior delivery, so the captured
@@ -708,267 +756,70 @@ class ProcessShardSupervisor:
         scope_factory: Optional[ScopeFactory] = None,
         heartbeat_s: float = 1.0,
         monitor_interval_ms: float = 50.0,
-        beat_grace_s: float = 60.0,
-        replicas: int = DEFAULT_REPLICAS,
         segment_samples: int = 1 << 12,
         use_shm: bool = False,
-        ring_bytes: int = 1 << 22,
-        max_pending_bytes: int = 4 << 20,
         auto_start: bool = True,
     ) -> None:
-        if shards <= 0:
-            raise ValueError(f"shards must be positive: {shards}")
-        # Lazy import: worker imports this module for ShardHost.
-        from repro.net.worker import WorkerHandle
-
-        self._handle_cls = WorkerHandle
-        self.loop = loop
-        self.wal_root = Path(wal_root)
-        self.scope_factory = scope_factory
         self.heartbeat_s = float(heartbeat_s)
-        self.monitor_interval_ms = float(monitor_interval_ms)
-        self.beat_grace_s = float(beat_grace_s)
-        self.segment_samples = int(segment_samples)
         self.use_shm = bool(use_shm)
-        self.ring_bytes = int(ring_bytes)
-        self.max_pending_bytes = int(max_pending_bytes)
-        self._ring = HashRing(range(shards), replicas=replicas)
-        self._route_cache: Dict[str, int] = {}
-        self._wals: Dict[int, CaptureWriter] = {}
-        self._stats: Dict[int, SupervisionStats] = {}
-        self._handles: Dict[int, object] = {}
-        self._monitor_id: Optional[int] = None
-        self._restart_epoch = 0
-        self._closed = False
-        try:
-            for shard_id in range(shards):
-                self._wals[shard_id] = CaptureWriter(
-                    self.wal_root / f"shard-{shard_id:02d}",
-                    segment_samples=self.segment_samples,
-                )
-                self._stats[shard_id] = SupervisionStats()
-                self._handles[shard_id] = self._spawn(shard_id, start_now=0.0)
-        except BaseException:
-            self.close()
-            raise
-        if auto_start:
-            self.start()
+        super().__init__(
+            loop,
+            wal_root,
+            shards,
+            scope_factory,
+            monitor_interval_ms,
+            segment_samples,
+            auto_start,
+        )
 
-    def _spawn(self, shard_id: int, start_now: float):
-        return self._handle_cls(
+    def _spawn(self, shard_id: int, now: float) -> WorkerHandle:
+        old = self._backends.get(shard_id)
+        if old is not None:
+            old.kill()  # usually already dead
+            old.close(timeout_s=2.0)
+        return WorkerHandle(
             shard_id,
             self.scope_factory,
             heartbeat_s=self.heartbeat_s,
             wal_path=self._wals[shard_id].path,
             state_path=self.state_path(shard_id),
-            start_now=start_now,
+            start_now=now,
             use_shm=self.use_shm,
-            ring_bytes=self.ring_bytes,
-            max_pending_bytes=self.max_pending_bytes,
         )
 
-    # ------------------------------------------------------------------
-    # Monitor lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Arm the liveness monitor on the router loop."""
-        if self._monitor_id is None:
-            self._monitor_id = self.loop.timeout_add(
-                self.monitor_interval_ms, self._monitor
-            )
-
-    def stop(self) -> None:
-        if self._monitor_id is not None:
-            self.loop.remove(self._monitor_id)
-            self._monitor_id = None
-
-    @property
-    def monitoring(self) -> bool:
-        return self._monitor_id is not None
-
-    def _monitor(self, lost: int = 0) -> bool:
-        now = self.loop.clock.now()
-        for shard_id in sorted(self._handles):
-            handle = self._handles[shard_id]
-            handle.poll()  # drains beats; surfaces crash reports
-            if (
-                not handle.is_alive()
-                or handle.link_down
-                or handle.take_crash() is not None
-            ):
-                self.restart_shard(shard_id)
-                continue
-            handle.advance(now)
-            if handle.beat_age_s() > self.beat_grace_s:
-                self._stats[shard_id].missed_beats += 1
-                self.restart_shard(shard_id)
-        return True
-
-    # ------------------------------------------------------------------
-    # Failover
-    # ------------------------------------------------------------------
-    def restart_shard(self, shard_id: int):
-        """Respawn a worker and catch it up: snapshot restore + replay.
-
-        The old process is killed outright (it is usually already dead),
-        the WAL's partial segment is flushed so the child sees every
-        recorded push, and the replacement is spawned with the current
-        router instant as its catch-up target.  Spawning blocks on the
-        child's ``ready`` — recovery completes before any new delivery
-        can be queued.
-        """
-        old = self._handles[shard_id]
+    def _send(self, shard_id: int, now: float, name: str, times, values) -> int:
+        handle = self._backends[shard_id]
         stats = self._stats[shard_id]
-        old.kill()
-        old.close(timeout_s=2.0)
-        self._wals[shard_id].flush_segment()
-        now = self.loop.clock.now()
-        stats.restarts += 1
-        stats.last_restart_at = now
-        handle = self._spawn(shard_id, start_now=now)
-        stats.replayed_samples = handle.replayed_samples
-        self._handles[shard_id] = handle
-        self._restart_epoch += 1
-        return handle
-
-    def ensure_alive(self) -> None:
-        """Respawn any dead worker immediately (no waiting on a tick)."""
-        for shard_id in sorted(self._handles):
-            handle = self._handles[shard_id]
-            handle.poll()
-            if (
-                not handle.is_alive()
-                or handle.link_down
-                or handle.take_crash() is not None
-            ):
-                self.restart_shard(shard_id)
-
-    # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-    def kill_shard(self, shard_id: int) -> None:
-        """SIGKILL one worker process (the fault the WAL exists for)."""
-        self._handles[shard_id].kill()
-
-    # ------------------------------------------------------------------
-    # Self-instrumentation
-    # ------------------------------------------------------------------
-    def register_metrics(self, registry, prefix: str = "shard") -> None:
-        """Mount router-side supervision counters into ``registry``.
-
-        The router's stats objects persist across worker respawns (the
-        ledger outlives the process), so one mount stays live forever.
-        Worker-queue and shm-ring gauges look the *current* handle up by
-        shard id, so they track respawns too; they reflect kernel/socket
-        timing, hence ``wall=True`` (scrape-only, never published).
-        """
-        for shard_id in sorted(self._stats):
-            shard_prefix = f"{prefix}{shard_id}."
-            self._stats[shard_id].register_metrics(registry, shard_prefix)
-            registry.gauge(
-                f"{shard_prefix}worker_pending_bytes",
-                fn=lambda sid=shard_id: float(
-                    self._handles[sid].pending_bytes if sid in self._handles else 0
-                ),
-                wall=True,
-            )
-            registry.gauge(
-                f"{shard_prefix}ring_occupancy",
-                fn=lambda sid=shard_id: (
-                    self._handles[sid].ring.occupancy()
-                    if sid in self._handles and self._handles[sid].ring is not None
-                    else 0.0
-                ),
-                wall=True,
-            )
-            registry.gauge(
-                f"{shard_prefix}ring_fallbacks",
-                fn=lambda sid=shard_id: float(
-                    self._handles[sid].ring.fallbacks
-                    if sid in self._handles and self._handles[sid].ring is not None
-                    else 0
-                ),
-                wall=True,
-            )
-
-    # ------------------------------------------------------------------
-    # Routing + push
-    # ------------------------------------------------------------------
-    @property
-    def n_shards(self) -> int:
-        return len(self._handles)
-
-    def handle_of(self, shard_id: int):
-        try:
-            return self._handles[shard_id]
-        except KeyError:
-            raise ValueError(f"unknown shard id: {shard_id}") from None
-
-    def shard_of(self, name: str) -> int:
-        shard_id = self._route_cache.get(name)
-        if shard_id is None:
-            shard_id = self._ring.locate(name)
-            self._route_cache[name] = shard_id
-        return shard_id
-
-    @property
-    def topology_version(self) -> int:
-        return self._restart_epoch
-
-    def push_sample(self, name: str, time_ms: float, value: float) -> int:
-        return self.push_samples(name, (time_ms,), (value,))
-
-    def push_samples(self, name: str, times, values) -> int:
-        """WAL first, then queue to the home worker; returns offered.
-
-        A push aimed at a dead worker is counted lost (to the live
-        link — the WAL already holds it; the respawn replays it at this
-        exact instant) and returns 0, exactly like the in-process
-        supervisor's crashed-host path.
-
-        Reserved ``__obs.`` names are rejected before the WAL write,
-        mirroring :class:`ShardSupervisor`; the publisher enters via
-        :meth:`push_obs`.
-        """
-        if name.startswith(RESERVED_PREFIX):
-            raise ScopeError(
-                f"signal name {name!r} is reserved: the {RESERVED_PREFIX!r} "
-                "namespace carries self-instrumentation samples "
-                "(published via MetricsPublisher, not user pushes)"
-            )
-        return self.push_obs(name, times, values)
-
-    def push_obs(self, name: str, times, values) -> int:
-        """Trusted reserved-namespace entry: same WAL-first queueing."""
-        n = len(times)
-        if n == 0:
-            return 0
-        shard_id = self.shard_of(name)
-        now = self.loop.clock.now()
-        self._wals[shard_id].on_push(name, times, values, now)
-        stats = self._stats[shard_id]
-        stats.wal_bytes += 16 * n
-        handle = self._handles[shard_id]
-        if not handle.is_alive() or handle.link_down:
+        if not self._live(handle):
             stats.lost_deliveries += 1
             return 0
         offered = handle.deliver(now, name, times, values)
         stats.offered += offered
         return offered
 
-    def advance_all(self, now: Optional[float] = None) -> None:
-        """Advance every live worker's private clock (idle-shard ticks)."""
-        if now is None:
-            now = self.loop.clock.now()
-        for handle in self._handles.values():
-            if handle.is_alive() and not handle.link_down:
-                handle.advance(now)
+    def _failed(self, shard_id: int, now: float) -> bool:
+        handle = self._backends[shard_id]
+        if handle.failed():
+            return True
+        handle.advance(now)
+        if handle.beat_age_s() > BEAT_GRACE_S:
+            self._stats[shard_id].missed_beats += 1
+            return True
+        return False
 
-    # ------------------------------------------------------------------
-    # Settling + accounting
-    # ------------------------------------------------------------------
-    def _wal_samples(self, shard_id: int) -> int:
-        return self._stats[shard_id].wal_bytes // 16
+    def ensure_alive(self) -> None:
+        """Respawn any dead worker immediately (no waiting on a tick)."""
+        for shard_id in sorted(self._backends):
+            if self._backends[shard_id].failed():
+                self.restart_shard(shard_id)
+
+    def kill_shard(self, shard_id: int) -> None:
+        """SIGKILL one worker process (the fault the WAL exists for)."""
+        self._backends[shard_id].kill()
+
+    @property
+    def topology_version(self) -> int:
+        return self._restart_epoch
 
     def drain(self, timeout_s: float = 60.0) -> None:
         """Respawn the dead, then block until every worker has ingested
@@ -979,84 +830,8 @@ class ProcessShardSupervisor:
         samples, and the WAL count is exactly that union.
         """
         self.ensure_alive()
-        for shard_id in sorted(self._handles):
-            self._handles[shard_id].drain(
-                self._wal_samples(shard_id), timeout_s=timeout_s
-            )
-        self.refresh_stats(timeout_s=timeout_s)
-
-    def refresh_stats(self, timeout_s: float = 10.0) -> None:
-        """Pull each worker's ingest ledger into the router-side stats."""
-        for shard_id, handle in self._handles.items():
-            remote = handle.stats(timeout_s=timeout_s)
-            stats = self._stats[shard_id]
-            stats.offered = int(remote["offered"])
-            stats.accepted = int(remote["accepted"])
-            stats.dropped_late = int(remote["dropped_late"])
-
-    def shard_stats(self) -> List[SupervisionStats]:
-        return [self._stats[i] for i in sorted(self._stats)]
-
-    def totals(self) -> Dict[str, int]:
-        """Counters summed across workers, as of the last refresh/drain."""
-        out: Dict[str, int] = {}
-        for stats in self._stats.values():
-            for key, value in stats.as_dict().items():
-                out[key] = out.get(key, 0) + value
-        return out
+        self._drain_to(lambda sid: self._stats[sid].wal_bytes // 16, timeout_s)
 
     def snapshot_state(self, shard_id: int, timeout_s: float = 30.0) -> dict:
         """Fetch one worker's full data-plane state (ordered past all sends)."""
-        return self._handles[shard_id].snapshot_state(timeout_s=timeout_s)
-
-    # ------------------------------------------------------------------
-    # Snapshot + WAL rotation
-    # ------------------------------------------------------------------
-    def state_path(self, shard_id: int) -> Path:
-        return self.wal_root / f"shard-{shard_id:02d}.state"
-
-    def snapshot_shard(self, shard_id: int, timeout_s: float = 30.0) -> dict:
-        """Snapshot one worker's state and retire its WAL segments.
-
-        The socket's total order makes this safe without a drain: the
-        snapshot request is queued behind every delivery already sent,
-        so the returned state covers everything the WAL recorded for a
-        live link.  (A dead worker cannot snapshot — respawn first.)
-        """
-        handle = self._handles[shard_id]
-        handle.advance(self.loop.clock.now())
-        snap = handle.snapshot_state(timeout_s=timeout_s)
-        state_path = self.state_path(shard_id)
-        tmp = state_path.with_suffix(".state.tmp")
-        with open(tmp, "wb") as fh:
-            pickle.dump(snap, fh)
-        os.replace(tmp, state_path)
-        old_writer = self._wals[shard_id]
-        path = old_writer.path
-        old_writer.close()
-        for segment in sorted(path.glob("*.gseg")):
-            segment.unlink()
-        self._wals[shard_id] = CaptureWriter(
-            path, segment_samples=self.segment_samples
-        )
-        return snap
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self, timeout_s: float = 10.0) -> None:
-        """Stop monitoring, shut every worker down, seal the WALs."""
-        if self._closed:
-            return
-        self._closed = True
-        self.stop()
-        for handle in self._handles.values():
-            handle.close(timeout_s=timeout_s)
-        for wal in self._wals.values():
-            wal.close()
-
-    def __enter__(self) -> "ProcessShardSupervisor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return self._backends[shard_id].snapshot_state(timeout_s=timeout_s)

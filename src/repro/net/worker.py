@@ -1,7 +1,6 @@
 """Process shard workers: one ShardHost per child process.
 
-PRs 1–7 made the single-core path as fast as numpy allows, but every
-shard of :class:`~repro.net.shard.ShardedScopeManager` still shares one
+Every shard of :class:`~repro.net.shard.ShardedScopeManager` shares one
 interpreter, so aggregate ingest is capped by one core and the GIL.
 This module puts each shard on a real **process**:
 
@@ -10,10 +9,10 @@ This module puts each shard on a real **process**:
   the in-process plane uses, with its private event loop and virtual
   clock — and is driven *entirely* by messages from the router, so its
   timeline is deterministic and replayable;
-* the transport is a ``socketpair`` speaking the version-2 binary
-  protocol: ``DELIVER`` frames carry the column batches stamped with the
-  router's push instant, and ``CONTROL`` frames carry the JSON
-  supervision side channel (heartbeats, stats, snapshot/shutdown);
+* the transport is a ``socketpair`` speaking the binary protocol:
+  ``DELIVER`` frames carry the column batches stamped with the router's
+  push instant, and ``CONTROL`` frames carry the JSON supervision side
+  channel (heartbeats, stats, snapshot/shutdown);
 * optionally, the column bytes travel through a same-host shared-memory
   ring (:class:`ShmRing`) instead of the socket; the socket then carries
   only a tiny ``shmrec`` token per batch, keeping *ordering* on the one
@@ -28,18 +27,22 @@ runs ``loop.run_through(now)`` before ingesting — exactly what the
 in-process :meth:`ShardHost.deliver` does.  Idle shards advance via
 periodic ``advance`` controls.  Because the timeline is message-driven,
 a respawned worker that re-drives the same WAL reaches a byte-identical
-state (the PR 6 equivalence argument carries over unchanged).
+state (the in-process equivalence argument carries over unchanged).
 
 Restart protocol
 ----------------
 
 A worker spawned with ``wal_path``/``state_path`` restores itself before
-accepting traffic: load the snapshot (if any), dry-advance the fresh
-factory host to the snapshot instant, load the state over it, replay the
-WAL segments through ``start_now``, then send ``ready``.  The parent's
-:class:`WorkerHandle` blocks on ``ready``, so no live delivery can race
-the replay — everything the router pushes after the handle exists is
-new traffic.
+accepting traffic with :meth:`ShardHost.restore` — the same catch-up an
+in-process restart runs: load the snapshot (if any) over the fresh
+factory host, replay the WAL segments through ``start_now`` — then
+sends ``ready``.  The parent's :class:`WorkerHandle` blocks on
+``ready``, so no live delivery can race the replay — everything the
+router pushes after the handle exists is new traffic.  A child that
+fails (a damaged state file, a poisoned batch) reports ``crashed`` with
+the reason before exiting, and the handle raises it as
+:class:`WorkerDied` ``("… crashed: …")``, even when the report is still
+unread behind a send that already failed.
 
 Fork start method: workers are forked, so the ``scope_factory`` is
 inherited by reference and never pickled — test factories and closures
@@ -57,7 +60,6 @@ import struct
 import time
 from multiprocessing import get_context
 from multiprocessing import shared_memory
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -83,6 +85,17 @@ _REC_HEADER = struct.Struct("<IId")
 _RING_MARK = 0xFFFFFFFF  # name_id sentinel: jump back to offset 0
 _CURSORS = struct.Struct("<QQ")  # tail (producer), head (consumer)
 _DATA_OFF = 16
+
+#: Shared-memory ring size per worker (``use_shm``).
+RING_BYTES = 1 << 22
+#: High watermark of a handle's unsent bytes: past it the router push
+#: blocks on that worker's socket (per-shard backpressure).
+MAX_PENDING_BYTES = 4 << 20
+#: Real seconds a new handle waits for the child's ``ready`` (restore
+#: and WAL replay included).
+READY_TIMEOUT_S = 60.0
+#: Sent-prefix size past which a backed-up pending buffer is compacted.
+_COMPACT_BYTES = 1 << 16
 
 
 class WorkerDied(RuntimeError):
@@ -207,41 +220,6 @@ class ShmRing:
 # ----------------------------------------------------------------------
 # Child side
 # ----------------------------------------------------------------------
-def _restore_and_replay(host, state_path, wal_path, start_now) -> Dict[str, Any]:
-    """Restore snapshot state (if any) and replay the WAL into ``host``.
-
-    Mirrors the in-process :meth:`ShardSupervisor.restart_shard` exactly:
-    dry-advance the fresh factory host to the snapshot instant (its
-    timers deterministically reproduce polls and beats), load the state
-    over it, then re-drive the WAL segments at their recorded instants
-    and advance through ``start_now``.
-    """
-    from repro.capture.reader import CaptureReader
-    from repro.capture.replay import ReplaySource
-    from repro.net.supervisor import _HostTarget
-
-    restored = False
-    if state_path and Path(state_path).exists():
-        with open(state_path, "rb") as fh:
-            snap = pickle.load(fh)
-        host.loop.run_through(float(snap["now"]))
-        host.manager.load_state(snap["manager"])
-        host.stats.offered = int(snap["stats"]["offered"])
-        host.stats.accepted = int(snap["stats"]["accepted"])
-        host.stats.dropped_late = int(snap["stats"]["dropped_late"])
-        restored = True
-    replayed = 0
-    if wal_path and sorted(Path(wal_path).glob("*.gseg")):
-        reader = CaptureReader(wal_path, recover_tail=True)
-        source = ReplaySource(reader, _HostTarget(host))
-        host.loop.attach(source)
-        host.loop.run_through(float(start_now))
-        replayed = source.delivered_samples
-    else:
-        host.loop.run_through(float(start_now))
-    return {"restored": restored, "replayed": replayed}
-
-
 def worker_main(
     sock: socket.socket,
     parent_fd: int,
@@ -254,7 +232,7 @@ def worker_main(
     ring_name: Optional[str],
 ) -> None:
     """Child entrypoint: host one shard, driven by the router socket."""
-    from repro.net.supervisor import ShardDown, ShardHost
+    from repro.net.supervisor import ShardHost
 
     try:
         os.close(parent_fd)  # drop the inherited copy of the parent's end
@@ -262,20 +240,20 @@ def worker_main(
         pass
     ring = ShmRing.attach(ring_name) if ring_name else None
     exit_code = 0
+
+    def reply(op: str, **fields: Any) -> None:
+        sock.sendall(encode_control({"op": op, **fields}))
+
     try:
         host = ShardHost(shard_id, scope_factory)
-        boot = _restore_and_replay(host, state_path, wal_path, start_now)
+        host.restore(state_path, wal_path, start_now)
         sock.setblocking(True)
         sock.settimeout(heartbeat_s)
-        sock.sendall(
-            encode_control(
-                {
-                    "op": "ready",
-                    "shard": shard_id,
-                    "restored": boot["restored"],
-                    "replayed": boot["replayed"],
-                }
-            )
+        reply(
+            "ready",
+            shard=shard_id,
+            restored=host.restored,
+            replayed=host.replayed_samples,
         )
         names: Dict[int, str] = {}
         decoder = FrameDecoder()
@@ -288,19 +266,11 @@ def worker_main(
         def count_quarantine(_live, _exc) -> None:
             host.stats.query_quarantines += 1
 
-        def stats_payload() -> Dict[str, Any]:
-            return {
-                "op": "stats",
-                "shard": shard_id,
-                "offered": host.stats.offered,
-                "accepted": host.stats.accepted,
-                "dropped_late": host.stats.dropped_late,
-                "query_quarantines": host.stats.query_quarantines,
-                "queries": sorted(queries),
-                "beats": host.beats,
-                "now": host.loop.clock.now(),
-                "replayed": boot["replayed"],
-            }
+        def deliver(name_id: int, now: float, times, values) -> None:
+            name = names.get(name_id)
+            if name is None:
+                raise ProtocolError(f"delivery for undefined name id {name_id}")
+            host.deliver(now, name, times, values)
 
         running = True
         while running:
@@ -309,55 +279,41 @@ def worker_main(
             except socket.timeout:
                 # Idle interval: heartbeat over the control channel so
                 # the parent can tell "slow" from "gone" in real time.
-                sock.sendall(encode_control({"op": "beat", "beats": host.beats}))
+                reply("beat", beats=host.beats)
                 continue
             if not chunk:
                 break  # router went away without a shutdown — exit clean
             for frame in decoder.feed(chunk):
                 if frame.kind is FrameKind.DELIVER:
-                    name = names.get(frame.name_id)
-                    if name is None:
-                        raise ProtocolError(
-                            f"DELIVER for undefined name id {frame.name_id}"
-                        )
-                    host.deliver(frame.now, name, frame.times, frame.values)
+                    deliver(frame.name_id, frame.now, frame.times, frame.values)
                 elif frame.kind is FrameKind.NAME_DEF:
                     names[frame.name_id] = frame.name
                 elif frame.kind is FrameKind.CONTROL:
                     op = frame.control.get("op")
                     if op == "shmrec":
-                        name_id, now, times, values = ring.pop()
-                        name = names.get(name_id)
-                        if name is None:
-                            raise ProtocolError(
-                                f"ring record for undefined name id {name_id}"
-                            )
-                        host.deliver(now, name, times, values)
+                        deliver(*ring.pop())
                     elif op == "advance":
                         host.advance(float(frame.control["now"]))
                     elif op == "stats":
-                        sock.sendall(encode_control(stats_payload()))
+                        reply(
+                            "stats",
+                            shard=shard_id,
+                            offered=host.stats.offered,
+                            accepted=host.stats.accepted,
+                            dropped_late=host.stats.dropped_late,
+                            query_quarantines=host.stats.query_quarantines,
+                            queries=sorted(queries),
+                            beats=host.beats,
+                            now=host.loop.clock.now(),
+                            replayed=host.replayed_samples,
+                        )
                     elif op == "snapshot":
                         host.advance(float(frame.control["now"]))
-                        blob = pickle.dumps(
-                            {
-                                "now": host.loop.clock.now(),
-                                "manager": host.manager.state_dict(),
-                                "stats": {
-                                    "offered": host.stats.offered,
-                                    "accepted": host.stats.accepted,
-                                    "dropped_late": host.stats.dropped_late,
-                                },
-                            }
-                        )
-                        sock.sendall(
-                            encode_control(
-                                {
-                                    "op": "snapshot",
-                                    "shard": shard_id,
-                                    "blob": base64.b64encode(blob).decode("ascii"),
-                                }
-                            )
+                        blob = pickle.dumps(host.snapshot_state())
+                        reply(
+                            "snapshot",
+                            shard=shard_id,
+                            blob=base64.b64encode(blob).decode("ascii"),
                         )
                     elif op == "query_attach":
                         # Compile-and-attach in the child: the query taps
@@ -369,49 +325,27 @@ def worker_main(
 
                         qid = str(frame.control["id"])
                         try:
-                            live = LiveQuery(
-                                str(frame.control["text"]), host.manager
-                            )
+                            live = LiveQuery(str(frame.control["text"]), host.manager)
                         except QueryError as exc:
-                            sock.sendall(
-                                encode_control(
-                                    {
-                                        "op": "query_attached",
-                                        "id": qid,
-                                        "error": str(exc),
-                                    }
-                                )
-                            )
+                            reply("query_attached", id=qid, error=str(exc))
                         else:
                             live.on_quarantine(count_quarantine)
                             queries[qid] = live
-                            sock.sendall(
-                                encode_control(
-                                    {
-                                        "op": "query_attached",
-                                        "id": qid,
-                                        "outputs": list(live.plan.output_names),
-                                    }
-                                )
+                            reply(
+                                "query_attached",
+                                id=qid,
+                                outputs=list(live.plan.output_names),
                             )
                     elif op == "query_detach":
                         qid = str(frame.control["id"])
                         live = queries.pop(qid, None)
                         if live is not None:
                             live.detach()
-                        sock.sendall(
-                            encode_control(
-                                {
-                                    "op": "query_detached",
-                                    "id": qid,
-                                    "known": live is not None,
-                                }
-                            )
-                        )
+                        reply("query_detached", id=qid, known=live is not None)
                     elif op == "ping":
-                        sock.sendall(encode_control({"op": "pong"}))
+                        reply("pong")
                     elif op == "shutdown":
-                        sock.sendall(encode_control({"op": "bye"}))
+                        reply("bye")
                         running = False
                         break
                 # HELLO and SAMPLES are not part of the worker protocol;
@@ -422,7 +356,7 @@ def worker_main(
         exit_code = 1
         try:
             sock.settimeout(1.0)
-            sock.sendall(encode_control({"op": "crashed", "error": repr(exc)}))
+            reply("crashed", error=repr(exc))
         except OSError:
             pass
     finally:
@@ -443,9 +377,10 @@ class WorkerHandle:
 
     Owns the process, the socket, the optional shm ring and the
     per-connection name interning.  Writes are non-blocking with a
-    bounded pending buffer: past ``max_pending_bytes`` the handle
+    bounded pending buffer: past :data:`MAX_PENDING_BYTES` the handle
     *blocks* on the socket (per-shard backpressure) instead of growing
-    router memory without bound.
+    router memory without bound, and the already-sent prefix of a
+    backed-up buffer is released as it accumulates.
 
     Construction is synchronous: the handle waits for the child's
     ``ready`` control — which arrives only after any snapshot restore
@@ -462,14 +397,10 @@ class WorkerHandle:
         state_path: Optional[str] = None,
         start_now: float = 0.0,
         use_shm: bool = False,
-        ring_bytes: int = 1 << 22,
-        max_pending_bytes: int = 4 << 20,
-        ready_timeout_s: float = 60.0,
     ) -> None:
         self.shard_id = shard_id
         self.heartbeat_s = float(heartbeat_s)
-        self.max_pending_bytes = int(max_pending_bytes)
-        self.ring = ShmRing.create(ring_bytes) if use_shm else None
+        self.ring = ShmRing.create(RING_BYTES) if use_shm else None
         parent_sock, child_sock = socket.socketpair()
         self.process = _FORK.Process(
             target=worker_main,
@@ -496,15 +427,18 @@ class WorkerHandle:
         self._inbox: List[Dict[str, Any]] = []
         self._name_ids: Dict[str, int] = {}
         self.link_down = False
+        self._eof = False  # everything the child will ever send is read
         self.samples_sent = 0
         self.frames_sent = 0
         self.bytes_sent = 0
         self.beats_seen = 0
         self.last_now = 0.0  # latest router instant sent to the worker
         self.last_beat_monotonic = time.monotonic()
-        self.replayed_samples = 0
-        self.restored = False
-        ready = self._wait_for("ready", timeout_s=ready_timeout_s)
+        try:
+            ready = self._wait_for("ready", timeout_s=READY_TIMEOUT_S)
+        except BaseException:
+            self.close(timeout_s=2.0)
+            raise
         self.replayed_samples = int(ready.get("replayed", 0))
         self.restored = bool(ready.get("restored", False))
 
@@ -524,6 +458,15 @@ class WorkerHandle:
         """Real seconds since the last sign of life on the control channel."""
         return time.monotonic() - self.last_beat_monotonic
 
+    def failed(self) -> bool:
+        """Poll, then True on a dead pid, a broken link or a crash report."""
+        self.poll()  # drains beats; surfaces crash reports
+        return (
+            not self.is_alive()
+            or self.link_down
+            or any(msg.get("op") == "crashed" for msg in self._inbox)
+        )
+
     @property
     def pending_bytes(self) -> int:
         """Bytes queued router-side, waiting for the worker socket."""
@@ -535,8 +478,8 @@ class WorkerHandle:
             return  # child is gone; the WAL (if any) holds the truth
         self._pending += data
         self._flush_some()
-        if len(self._pending) - self._pending_pos > self.max_pending_bytes:
-            self._flush_blocking()
+        if self.pending_bytes > MAX_PENDING_BYTES:
+            self._flush_until(MAX_PENDING_BYTES, timeout_s=60.0)
 
     def _flush_some(self) -> None:
         """Write as much pending as the socket takes without blocking."""
@@ -546,30 +489,35 @@ class WorkerHandle:
                     memoryview(self._pending)[self._pending_pos :]
                 )
             except (BlockingIOError, InterruptedError):
-                return
+                break
             except OSError:
                 self._mark_down()
                 return
             self._pending_pos += sent
             self.bytes_sent += sent
-        self._pending = bytearray()
-        self._pending_pos = 0
+        pos = self._pending_pos
+        if pos == len(self._pending):
+            self._pending = bytearray()
+            self._pending_pos = 0
+        elif pos > _COMPACT_BYTES and pos * 2 > len(self._pending):
+            # A backed-up socket: release the sent prefix once it
+            # dominates (the FrameDecoder/LatencyLink rule), so router
+            # memory stays bounded while the worker lags.
+            del self._pending[:pos]
+            self._pending_pos = 0
 
-    def _flush_blocking(self, timeout_s: float = 60.0) -> None:
-        """Backpressure: block until pending drains below the watermark.
+    def _flush_until(self, limit: int, timeout_s: float) -> None:
+        """Block until at most ``limit`` bytes are pending (or the link dies).
 
         Reads are serviced while blocked (the child may be replying to
         an earlier request), so a full-duplex stall cannot deadlock.
         """
         deadline = time.monotonic() + timeout_s
-        while (
-            len(self._pending) - self._pending_pos > self.max_pending_bytes
-            and not self.link_down
-        ):
+        while self.pending_bytes > limit and not self.link_down:
             if time.monotonic() > deadline:
                 raise WorkerDied(
-                    f"worker {self.shard_id} backpressure stall: "
-                    f"{len(self._pending) - self._pending_pos} bytes pending"
+                    f"worker {self.shard_id} stalled with "
+                    f"{self.pending_bytes} bytes pending"
                 )
             if not self.is_alive():
                 self._mark_down()
@@ -621,33 +569,20 @@ class WorkerHandle:
 
     def flush(self, timeout_s: float = 30.0) -> None:
         """Push every queued byte into the socket (blocking as needed)."""
-        deadline = time.monotonic() + timeout_s
-        while self._pending_pos < len(self._pending) and not self.link_down:
-            if time.monotonic() > deadline:
-                raise WorkerDied(f"worker {self.shard_id} flush stalled")
-            if not self.is_alive():
-                self._mark_down()
-                break
-            readable, writable, _ = select.select(
-                [self.sock], [self.sock], [], 0.2
-            )
-            if readable:
-                self.poll()
-            if writable:
-                self._flush_some()
+        self._flush_until(0, timeout_s)
 
     # -- inbound --------------------------------------------------------
     def poll(self) -> None:
         """Drain whatever the child has sent; file control replies."""
-        while True:
+        while not self._eof:
             try:
                 chunk = self.sock.recv(1 << 16)
             except (BlockingIOError, InterruptedError):
                 return
             except OSError:
-                self._mark_down()
-                return
+                chunk = b""  # a reset arrives only after the last bytes
             if not chunk:
+                self._eof = True
                 self._mark_down()
                 return
             for frame in self._decoder.feed(chunk):
@@ -660,7 +595,14 @@ class WorkerHandle:
                     self._inbox.append(frame.control)
 
     def _wait_for(self, op: str, timeout_s: float) -> Dict[str, Any]:
-        """Block (real time) for a control reply with the given op."""
+        """Block (real time) for a control reply with the given op.
+
+        Death is declared only at EOF, once everything the child sent
+        has been read: a send that failed because the child is gone can
+        mark the link down while its crash report still sits unread in
+        the socket, and that report — not a bare "died" — is the reason
+        the caller gets.
+        """
         deadline = time.monotonic() + timeout_s
         while True:
             for i, msg in enumerate(self._inbox):
@@ -671,9 +613,7 @@ class WorkerHandle:
                     raise WorkerDied(
                         f"worker {self.shard_id} crashed: {msg.get('error')}"
                     )
-            if self.link_down or (
-                not self.is_alive() and not self.sock_readable()
-            ):
+            if self._eof:
                 raise WorkerDied(
                     f"worker {self.shard_id} died awaiting {op!r} "
                     f"(exitcode {self.exitcode})"
@@ -685,20 +625,6 @@ class WorkerHandle:
             readable, _, _ = select.select([self.sock], [], [], 0.2)
             if readable:
                 self.poll()
-
-    def take_crash(self) -> Optional[str]:
-        """Pop a pending child crash report (None when healthy)."""
-        for i, msg in enumerate(self._inbox):
-            if msg.get("op") == "crashed":
-                self._inbox.pop(i)
-                return str(msg.get("error"))
-        return None
-
-    def sock_readable(self) -> bool:
-        if self.link_down:
-            return False
-        readable, _, _ = select.select([self.sock], [], [], 0)
-        return bool(readable)
 
     def request(self, payload: Dict[str, Any], reply_op: str, timeout_s: float) -> Dict[str, Any]:
         self._queue(encode_control(payload))

@@ -26,13 +26,13 @@ maximal chains of elementwise and simple stateful operators (``map1``,
 ``maps``, ``clip``, ``ewma``, ``rate``, ``delta``) into single
 ``fused`` nodes executed in one pass per batch by
 :mod:`repro.query.kernels` — generated C through the
-:mod:`repro.core.native` seam, numba behind a feature gate, or the
-original per-operator numpy chain as the always-on fallback and
-oracle.  Fusion never crosses a *barrier* (``source``, ``join``,
-``window``, ``resample``, ``edges``): those operators change the
-timeline or need cross-input alignment and always keep their own
-nodes.  A node consumed by more than one downstream operator, or
-published as an output, ends its chain — its emission is shared.
+:mod:`repro.core.native` seam, or the original per-operator numpy
+chain as the always-on fallback and oracle.  Fusion never crosses a
+*barrier* (``source``, ``join``, ``window``, ``resample``, ``edges``):
+those operators change the timeline or need cross-input alignment and
+always keep their own nodes.  A node consumed by more than one
+downstream operator, or published as an output, ends its chain — its
+emission is shared.
 ``REPRO_NATIVE=0`` disables the pass entirely, restoring the pure
 per-operator numpy plan; fusion choice never changes output bytes.
 

@@ -1,18 +1,17 @@
-"""Single-pass fused kernels: generated C (or numba) behind ctypes.
+"""Single-pass fused kernels: generated C behind ctypes.
 
 The compiler's fusion pass (:func:`repro.query.compile.fuse_plan`)
 collapses maximal chains of elementwise and simple stateful operators
 into one ``fused`` plan node; this module executes those nodes in a
-single pass over each batch.  Three backends, strongest available wins
-(see :mod:`repro.core.native` for the ``REPRO_NATIVE`` gate):
+single pass over each batch.  Two backends, the C one winning when the
+machine has a compiler (see :mod:`repro.core.native` for the
+``REPRO_NATIVE`` gate):
 
 * **generated C** — one tiny translation unit per fused-chain
   *signature* (the sequence of step shapes, constants excluded),
   compiled once through the :mod:`repro.core.native` seam and cached
   on disk, so ``x*2`` and ``x*3`` share a kernel and a warm cache
   never invokes the compiler;
-* **numba** — the same loop emitted as Python source and jitted, for
-  installs with numba but no C toolchain (``REPRO_NATIVE=numba``);
 * **numpy** — no kernel at all: the fused node falls back to running
   the original per-operator numpy chain (see
   :class:`repro.query.ops.FusedOp`), which is also the always-on
@@ -144,12 +143,12 @@ def is_elementwise(steps: Sequence[Step]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Codegen: each step emitted for C and for Python (numba)
+# Codegen: each step emitted as C
 # ----------------------------------------------------------------------
 _CMP_C = {"lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!="}
 
 
-def _binary_expr(fn: str, a: str, b: str, lang: str) -> str:
+def _binary_expr(fn: str, a: str, b: str) -> str:
     """The elementwise combine, mirroring numpy's exact semantics."""
     if fn == "add":
         return f"{a} + {b}"
@@ -160,18 +159,13 @@ def _binary_expr(fn: str, a: str, b: str, lang: str) -> str:
     if fn == "div":
         return f"{a} / {b}"
     if fn == "min":
-        cond = f"({a} < {b}) or ({a} != {a})" if lang == "py" else f"({a} < {b}) || ({a} != {a})"
-        return f"({a}) if ({cond}) else ({b})" if lang == "py" else f"(({cond}) ? ({a}) : ({b}))"
+        return f"((({a} < {b}) || ({a} != {a})) ? ({a}) : ({b}))"
     if fn == "max":
-        cond = f"({a} > {b}) or ({a} != {a})" if lang == "py" else f"({a} > {b}) || ({a} != {a})"
-        return f"({a}) if ({cond}) else ({b})" if lang == "py" else f"(({cond}) ? ({a}) : ({b}))"
-    op = _CMP_C[fn]
-    if lang == "py":
-        return f"1.0 if ({a} {op} {b}) else 0.0"
-    return f"(({a} {op} {b}) ? 1.0 : 0.0)"
+        return f"((({a} > {b}) || ({a} != {a})) ? ({a}) : ({b}))"
+    return f"(({a} {_CMP_C[fn]} {b}) ? 1.0 : 0.0)"
 
 
-def _emit_steps(steps: Sequence[Step], lang: str) -> Tuple[List[str], List[str], List[str]]:
+def _emit_steps(steps: Sequence[Step]) -> Tuple[List[str], List[str], List[str]]:
     """Generate (state_loads, loop_body, state_stores) for one chain.
 
     The loop body manipulates locals ``t`` and ``v``; a step that
@@ -183,106 +177,62 @@ def _emit_steps(steps: Sequence[Step], lang: str) -> Tuple[List[str], List[str],
     stores: List[str] = []
     k = 0  # params cursor
     s = 0  # state cursor
-    dcl = "" if lang == "py" else "double "
     for index, (op, params) in enumerate(steps):
         if op == "map1":
-            fn = params[0]
-            if fn == "abs":
-                body.append("v = fabs(v);" if lang == "c" else "v = abs(v)")
-            else:  # neg
-                body.append("v = -v;" if lang == "c" else "v = -v")
+            body.append("v = fabs(v);" if params[0] == "abs" else "v = -v;")
         elif op == "maps":
-            fn, _, on_left = params[0], params[1], params[2]
+            fn, on_left = params[0], params[2]
             sname = f"c{index}"
-            loads.append(f"{dcl}{sname} = p[{k}]" + (";" if lang == "c" else ""))
+            loads.append(f"double {sname} = p[{k}];")
             expr = (
-                _binary_expr(fn, sname, "v", lang)
+                _binary_expr(fn, sname, "v")
                 if on_left
-                else _binary_expr(fn, "v", sname, lang)
+                else _binary_expr(fn, "v", sname)
             )
-            body.append(f"v = {expr};" if lang == "c" else f"v = {expr}")
+            body.append(f"v = {expr};")
             k += 1
         elif op == "clip":
             lo, hi = f"lo{index}", f"hi{index}"
-            loads.append(f"{dcl}{lo} = p[{k}]" + (";" if lang == "c" else ""))
-            loads.append(f"{dcl}{hi} = p[{k + 1}]" + (";" if lang == "c" else ""))
-            if lang == "c":
-                body.append(f"if (v < {lo}) v = {lo};")
-                body.append(f"if (v > {hi}) v = {hi};")
-            else:
-                body.append(f"if v < {lo}:")
-                body.append(f"    v = {lo}")
-                body.append(f"if v > {hi}:")
-                body.append(f"    v = {hi}")
+            loads.append(f"double {lo} = p[{k}];")
+            loads.append(f"double {hi} = p[{k + 1}];")
+            body.append(f"if (v < {lo}) v = {lo};")
+            body.append(f"if (v > {hi}) v = {hi};")
             k += 2
         elif op == "ewma":
             al, has, y = f"al{index}", f"has{index}", f"y{index}"
-            loads.append(f"{dcl}{al} = p[{k}]" + (";" if lang == "c" else ""))
-            loads.append(f"{dcl}{has} = state[{s}]" + (";" if lang == "c" else ""))
-            loads.append(f"{dcl}{y} = state[{s + 1}]" + (";" if lang == "c" else ""))
-            if lang == "c":
-                body.append(f"if (!isfinite(v)) return -(i + 1);")
-                body.append(f"if ({has} == 0.0) {{ {has} = 1.0; {y} = v; }}")
-                body.append(
-                    f"else if ({al} != 0.0 && {al} != 1.0) "
-                    f"{y} = {al} * {y} + (1.0 - {al}) * v;"
-                )
-                body.append(f"else if ({al} == 0.0) {y} = v;")
-                body.append(f"v = {y};")
-            else:
-                body.append("if not (v - v == 0.0):")  # inf/nan probe
-                body.append("    return -(i + 1)")
-                body.append(f"if {has} == 0.0:")
-                body.append(f"    {has} = 1.0")
-                body.append(f"    {y} = v")
-                body.append(f"elif {al} != 0.0 and {al} != 1.0:")
-                body.append(f"    {y} = {al} * {y} + (1.0 - {al}) * v")
-                body.append(f"elif {al} == 0.0:")
-                body.append(f"    {y} = v")
-                body.append(f"v = {y}")
-            stores.append((f"state[{s}] = {has};", f"state[{s}] = {has}")[lang == "py"])
-            stores.append(
-                (f"state[{s + 1}] = {y};", f"state[{s + 1}] = {y}")[lang == "py"]
+            loads.append(f"double {al} = p[{k}];")
+            loads.append(f"double {has} = state[{s}];")
+            loads.append(f"double {y} = state[{s + 1}];")
+            body.append(f"if (!isfinite(v)) return -(i + 1);")
+            body.append(f"if ({has} == 0.0) {{ {has} = 1.0; {y} = v; }}")
+            body.append(
+                f"else if ({al} != 0.0 && {al} != 1.0) "
+                f"{y} = {al} * {y} + (1.0 - {al}) * v;"
             )
+            body.append(f"else if ({al} == 0.0) {y} = v;")
+            body.append(f"v = {y};")
+            stores.append(f"state[{s}] = {has};")
+            stores.append(f"state[{s + 1}] = {y};")
             k += 1
             s += 2
         elif op in ("rate", "delta"):
             has, tp, vp = f"has{index}", f"tp{index}", f"vp{index}"
-            loads.append(f"{dcl}{has} = state[{s}]" + (";" if lang == "c" else ""))
-            loads.append(f"{dcl}{tp} = state[{s + 1}]" + (";" if lang == "c" else ""))
-            loads.append(f"{dcl}{vp} = state[{s + 2}]" + (";" if lang == "c" else ""))
-            if lang == "c":
-                body.append(
-                    f"if ({has} == 0.0) {{ {has} = 1.0; {tp} = t; {vp} = v; continue; }}"
-                )
-                body.append(f"double dt{index} = t - {tp};")
-                body.append(f"double dv{index} = v - {vp};")
-                body.append(f"{tp} = t; {vp} = v;")
-                if op == "rate":
-                    body.append(f"v = dv{index} / (dt{index} / 1000.0);")
-                else:
-                    body.append(f"v = dv{index};")
+            loads.append(f"double {has} = state[{s}];")
+            loads.append(f"double {tp} = state[{s + 1}];")
+            loads.append(f"double {vp} = state[{s + 2}];")
+            body.append(
+                f"if ({has} == 0.0) {{ {has} = 1.0; {tp} = t; {vp} = v; continue; }}"
+            )
+            body.append(f"double dt{index} = t - {tp};")
+            body.append(f"double dv{index} = v - {vp};")
+            body.append(f"{tp} = t; {vp} = v;")
+            if op == "rate":
+                body.append(f"v = dv{index} / (dt{index} / 1000.0);")
             else:
-                body.append(f"if {has} == 0.0:")
-                body.append(f"    {has} = 1.0")
-                body.append(f"    {tp} = t")
-                body.append(f"    {vp} = v")
-                body.append("    continue")
-                body.append(f"dt{index} = t - {tp}")
-                body.append(f"dv{index} = v - {vp}")
-                body.append(f"{tp} = t")
-                body.append(f"{vp} = v")
-                if op == "rate":
-                    body.append(f"v = dv{index} / (dt{index} / 1000.0)")
-                else:
-                    body.append(f"v = dv{index}")
-            stores.append((f"state[{s}] = {has};", f"state[{s}] = {has}")[lang == "py"])
-            stores.append(
-                (f"state[{s + 1}] = {tp};", f"state[{s + 1}] = {tp}")[lang == "py"]
-            )
-            stores.append(
-                (f"state[{s + 2}] = {vp};", f"state[{s + 2}] = {vp}")[lang == "py"]
-            )
+                body.append(f"v = dv{index};")
+            stores.append(f"state[{s}] = {has};")
+            stores.append(f"state[{s + 1}] = {tp};")
+            stores.append(f"state[{s + 2}] = {vp};")
             s += 3
         else:  # pragma: no cover - fusable_steps() guards this
             raise ValueError(f"cannot fuse operator {op!r}")
@@ -290,7 +240,7 @@ def _emit_steps(steps: Sequence[Step], lang: str) -> Tuple[List[str], List[str],
 
 
 def _c_source(steps: Sequence[Step]) -> str:
-    loads, body, stores = _emit_steps(steps, "c")
+    loads, body, stores = _emit_steps(steps)
     body_text = "\n        ".join(body)
     load_text = "\n".join("    " + line for line in loads).lstrip()
     store_text = "\n".join("    " + line for line in stores).lstrip()
@@ -336,27 +286,6 @@ long long fused_run(long long n, const double* t_in, const double* v_in,
 """
 
 
-def _py_source(steps: Sequence[Step]) -> str:
-    loads, body, stores = _emit_steps(steps, "py")
-    indent = "\n        ".join(body)
-    load_text = "\n    ".join(loads) or "pass"
-    store_text = "\n    ".join(stores) or "pass"
-    return f"""\
-def fused_run(n, t_in, v_in, t_out, v_out, p, state):
-    {load_text}
-    m = 0
-    for i in range(n):
-        t = t_in[i]
-        v = v_in[i]
-        {indent}
-        t_out[m] = t
-        v_out[m] = v
-        m += 1
-    {store_text}
-    return m
-"""
-
-
 # ----------------------------------------------------------------------
 # Fused-chain kernel
 # ----------------------------------------------------------------------
@@ -369,11 +298,11 @@ class FusedKernel:
     every runtime instance of the same signature.
     """
 
-    def __init__(
-        self, signature: Tuple, fn, backend: str, elementwise: bool = False
-    ) -> None:
+    #: Reported by ``Plan.explain`` (``fused[c]``).
+    backend = "c"
+
+    def __init__(self, signature: Tuple, fn, elementwise: bool = False) -> None:
         self.signature = signature
-        self.backend = backend
         self.elementwise = elementwise
         self._fn = fn
 
@@ -404,18 +333,15 @@ class FusedKernel:
         out_v = np.empty(n, dtype=np.float64)
         if not times.flags.c_contiguous:
             times = np.ascontiguousarray(times)
-        if self.backend == "c":
-            m = self._fn(
-                n,
-                times.ctypes.data,
-                values.ctypes.data,
-                out_t.ctypes.data,
-                out_v.ctypes.data,
-                params.ctypes.data,
-                state.ctypes.data,
-            )
-        else:
-            m = self._fn(n, times, values, out_t, out_v, params, state)
+        m = self._fn(
+            n,
+            times.ctypes.data,
+            values.ctypes.data,
+            out_t.ctypes.data,
+            out_v.ctypes.data,
+            params.ctypes.data,
+            state.ctypes.data,
+        )
         if m < 0:
             raise QueryError(
                 f"ewma input is not finite (batch sample {-int(m) - 1})"
@@ -424,20 +350,6 @@ class FusedKernel:
 
 
 _fused_cache: Dict[Tuple, Optional[FusedKernel]] = {}
-
-
-def _numba_compile(py_src: str):
-    """Jit the generated loop; any failure means "no kernel"."""
-    try:
-        import numba
-    except Exception:  # pragma: no cover - exercised only without numba
-        return None
-    namespace: Dict = {}
-    exec(compile(py_src, "<fused-kernel>", "exec"), namespace)
-    try:
-        return numba.njit(cache=False, fastmath=False)(namespace["fused_run"])
-    except Exception:  # pragma: no cover - numba present but jit failed
-        return None
 
 
 def get_fused(steps: Sequence[Step]) -> Optional[FusedKernel]:
@@ -465,11 +377,7 @@ def get_fused(steps: Sequence[Step]) -> Optional[FusedKernel]:
                 fn = lib.fused_run
                 fn.restype = _C_LL
                 fn.argtypes = [_C_LL, _C_P, _C_P, _C_P, _C_P, _C_P, _C_P]
-            kernel = FusedKernel(sig, fn, "c", elementwise)
-    elif native.mode() == "numba":
-        fn = _numba_compile(_py_source(steps))
-        if fn is not None:
-            kernel = FusedKernel(sig, fn, "numba")
+            kernel = FusedKernel(sig, fn, elementwise)
     _fused_cache[sig] = kernel
     return kernel
 
@@ -481,9 +389,9 @@ _JOIN_FNS = ("add", "sub", "mul", "div", "min", "max", "lt", "le", "gt", "ge", "
 
 
 def _join_c(fn: str) -> str:
-    expr = _binary_expr(fn, "hold0", "hold1", "c")
-    expr_l = _binary_expr(fn, "v0[q]", "hold1", "c")
-    expr_r = _binary_expr(fn, "hold0", "v1[q]", "c")
+    expr = _binary_expr(fn, "hold0", "hold1")
+    expr_l = _binary_expr(fn, "v0[q]", "hold1")
+    expr_r = _binary_expr(fn, "hold0", "v1[q]")
     return f"""\
 long long join_{fn}(long long n0, const double* t0, const double* v0,
                     long long n1, const double* t1, const double* v1,

@@ -295,15 +295,6 @@ class TestTaps:
         reader = CaptureReader(tmp_path / "cap")
         assert reader.sample_count == 3
 
-    def test_sharded_tap_rejects_per_shard_loops(self, tmp_path):
-        # Independent shard clocks cannot interleave into one monotonic
-        # stream; the per-shard capture_sharded layout covers that case.
-        sharded = ShardedScopeManager(shards=2, loops=[MainLoop(), MainLoop()])
-        with pytest.raises(ValueError, match="capture_sharded"):
-            sharded.add_tap(lambda *a: None)
-        writers = capture_sharded(sharded, tmp_path / "cap")
-        assert len(writers) == 2
-
     def test_sharded_capture_one_stream_per_shard(self, tmp_path):
         loop = MainLoop()
         sharded = ShardedScopeManager(shards=3, loop=loop)

@@ -13,9 +13,8 @@ the structural validators; a name-id flip reroutes to an undefined id,
 which is also a :class:`ProtocolError`) — the crc's job is the payload,
 which previously decoded wrong float64s silently.
 
-Version negotiation rides the header's version byte: a v1 peer omits the
-trailer and the decoder accepts it (unchecked, as before), so old
-clients keep working against new servers.
+Every peer speaks version 2: a frame of any other version (v1 had no
+trailer) fails closed as a protocol error, like any other bad header.
 """
 
 import struct
@@ -27,11 +26,7 @@ import pytest
 from repro.core.manager import ScopeManager
 from repro.core.signal import buffer_signal
 from repro.eventloop.loop import MainLoop
-from repro.net import (
-    ScopeClient,
-    ScopeServer,
-    memory_pair,
-)
+from repro.net import ScopeServer, memory_pair
 from repro.net.protocol import (
     FRAME_HEADER,
     FrameDecoder,
@@ -97,16 +92,6 @@ class TestDecoderRejectsEveryPayloadFlip:
             for i in range(len(corrupt)):
                 dec.feed(bytes(corrupt[i : i + 1]))
 
-    def test_v1_frame_has_no_trailer_and_decodes(self):
-        """Old peers: version 1 frames are accepted unchecked."""
-        times = np.array([1.0, 2.0])
-        values = np.array([10.0, 20.0])
-        frame = encode_binary_samples(7, times, values, version=1)
-        assert len(frame) == HEADER + 32  # no crc trailer
-        (decoded,) = FrameDecoder().feed(frame)
-        assert decoded.version == 1
-        np.testing.assert_array_equal(decoded.values, values)
-
     def test_crc_is_over_contiguous_columns(self):
         """The trailer equals crc32(times_bytes + values_bytes)."""
         frame, times, values = sample_frame()
@@ -160,24 +145,19 @@ class TestServerDisconnectsOnCorruptFrame:
         assert server.totals()["accepted"] == 1
         assert scope.channel("metric").raw_array().tolist() == [5.0]
 
-    def test_v1_pinned_client_interoperates(self):
-        """An old (version-1) client works against the new server."""
-        loop, scope, server, near = self.make_rig()
-        client = ScopeClient(near, loop, wire_version=1)
-        client.send_sample("metric", 42.0, loop.clock.now())
-        loop.run_for(300)
-        assert scope.value_of("metric") == 42.0
-        assert server.disconnect_reasons == {}
-        assert server.totals()["protocol_errors"] == 0
-
     def test_worker_frames_rejected_on_client_sessions(self):
         """DELIVER/CONTROL are router↔worker frames; a client session
-        sending one is disconnected, not silently ingested."""
-        from repro.net.protocol import encode_control
+        sending one is disconnected, not silently ingested.  Neither is
+        a version-1 SAMPLES frame (bare columns, no checksum)."""
+        from repro.net.protocol import MAGIC, FrameKind, encode_control
 
+        v1_samples = FRAME_HEADER.pack(MAGIC, 1, FrameKind.SAMPLES, 0, 1) + (
+            np.array([1.0, 2.0]).tobytes()
+        )
         for frame in (
             encode_deliver(0, 100.0, [1.0], [2.0]),
             encode_control({"op": "beat"}),
+            v1_samples,
         ):
             loop, scope, server, near = self.make_rig()
             near.send(encode_name_def(0, "metric"))

@@ -161,16 +161,6 @@ class TestBinaryEncode:
         # v2 payload: the two columns followed by their crc32 trailer.
         assert payload == columns + struct.pack("<I", zlib.crc32(columns))
 
-    def test_v1_samples_payload_is_bare_columns(self):
-        times = np.array([1.0, 2.0])
-        values = np.array([10.0, 20.0])
-        frame = encode_binary_samples(7, times, values, version=1)
-        _, version, kind, _, count = FRAME_HEADER.unpack_from(frame)
-        assert (version, kind, count) == (1, FrameKind.SAMPLES, 2)
-        assert frame[FRAME_HEADER.size :] == (
-            times.astype("<f8").tobytes() + values.astype("<f8").tobytes()
-        )
-
     def test_empty_batch_encodes_to_nothing(self):
         assert encode_binary_samples(0, [], []) == b""
 
@@ -244,9 +234,11 @@ class TestFrameDecoder:
             dec.feed(b"\x00" * FRAME_HEADER.size)
 
     def test_bad_version_raises(self):
-        frame = FRAME_HEADER.pack(MAGIC, 99, FrameKind.HELLO, 0, 0)
-        with pytest.raises(ProtocolError, match="version"):
-            FrameDecoder().feed(frame)
+        # 1 is the retired unchecksummed format: no peer speaks it.
+        for version in (1, 99):
+            frame = FRAME_HEADER.pack(MAGIC, version, FrameKind.HELLO, 0, 0)
+            with pytest.raises(ProtocolError, match="version"):
+                FrameDecoder().feed(frame)
 
     def test_unknown_kind_raises(self):
         frame = FRAME_HEADER.pack(MAGIC, PROTOCOL_VERSION, 42, 0, 0)
@@ -360,7 +352,7 @@ class TestQueryFrames:
 
         frame = bytearray(encode_query({"op": "subscribe", "id": "q0"}))
         frame[2] = 1  # rewrite the header's version byte to v1
-        with pytest.raises(ProtocolError, match="require protocol version 2"):
+        with pytest.raises(ProtocolError, match="unsupported protocol version 1"):
             FrameDecoder().feed(bytes(frame))
 
     def test_non_json_payload_rejected(self):

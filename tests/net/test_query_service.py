@@ -206,7 +206,7 @@ class TestFailures:
         loop, manager, server, connect = make_rig()
         near = connect()
         near.send(
-            encode_hello(2)
+            encode_hello()
             + encode_query({"op": "query", "id": "q0", "text": "x = nosuchfn(a)"})
         )
         loop.run_for(20)
@@ -224,7 +224,7 @@ class TestFailures:
     def test_malformed_query_payload_disconnects(self):
         loop, manager, server, connect = make_rig()
         near = connect()
-        near.send(encode_hello(2) + encode_query({"op": "bogus-op", "id": "q0"}))
+        near.send(encode_hello() + encode_query({"op": "bogus-op", "id": "q0"}))
         loop.run_for(20)
         assert len(server.clients) == 0
         assert server.disconnect_reasons.get("protocol") == 1

@@ -161,16 +161,6 @@ class TestShardedMembership:
         with pytest.raises(ValueError):
             sharded.remove_shard(0)
 
-    def test_membership_frozen_with_per_shard_loops(self):
-        from repro.eventloop.loop import MainLoop
-
-        loops = [MainLoop(), MainLoop()]
-        sharded = ShardedScopeManager(shards=2, loops=loops)
-        with pytest.raises(ValueError):
-            sharded.add_shard()
-        with pytest.raises(ValueError):
-            sharded.remove_shard(0)
-
     def test_route_cache_invalidated_on_membership_change(self):
         sharded = ShardedScopeManager(shards=2)
         names = random_names(random.Random(4), 200)

@@ -171,18 +171,3 @@ class TestServerIntegration:
         exercised = {sharded.shard_of(n) for n in names}
         assert len(exercised) > 1
         assert sharded.totals()["accepted"] == 36
-
-    def test_per_shard_loops(self):
-        loops = [MainLoop() for _ in range(2)]
-        sharded = ShardedScopeManager(shards=2, loops=loops)
-        assert sharded.loops == loops
-        sharded.scope_new("a", shard=0, period_ms=50)
-        sharded.scope_new("b", shard=1, period_ms=50)
-        sharded.run_for(200)
-        assert all(l.clock.now() >= 200 for l in loops)
-
-    def test_loop_xor_loops(self):
-        with pytest.raises(ValueError):
-            ShardedScopeManager(shards=2, loop=MainLoop(), loops=[MainLoop(), MainLoop()])
-        with pytest.raises(ValueError):
-            ShardedScopeManager(shards=2, loops=[MainLoop()])

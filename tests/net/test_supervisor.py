@@ -2,10 +2,18 @@
 
 import pytest
 
+from repro.capture.format import CaptureFormatError
 from repro.core.signal import buffer_signal
 from repro.eventloop.loop import MainLoop
-from repro.net import ShardDown, ShardState, ShardSupervisor, shard_of
-from repro.net.supervisor import ShardHost
+from repro.net import (
+    ProcessShardSupervisor,
+    ShardDown,
+    ShardState,
+    ShardSupervisor,
+    WorkerDied,
+    shard_of,
+)
+from repro.net.supervisor import ShardHost, read_state_file
 
 pytestmark = pytest.mark.faults
 
@@ -357,3 +365,65 @@ class TestHostOrdering:
         host.manager.add_tap(Probe())
         host.deliver(30.0, "sig", (30.0,), (1.0,))
         assert order == ["timer", ("push", 30.0)]
+
+
+class TestStateFileFailsClosed:
+    """A shard state file is the only copy of the history its rotation
+    retired: every damaged byte must fail closed with a typed error,
+    never restore wrong state silently."""
+
+    def rotated(self, tmp_path, **kwargs):
+        loop, sup = make_supervisor(tmp_path, auto_start=False, **kwargs)
+        name = SIGNALS[0]
+        home = sup.shard_of(name)
+        for k in range(6):
+            loop.clock.wait_until(k * 10.0)
+            sup.push_samples(name, (k * 10.0,), (float(k),))
+        sup.snapshot_shard(home)
+        return loop, sup, home
+
+    def test_every_flip_and_truncation_raises(self, tmp_path):
+        _, sup, home = self.rotated(tmp_path)
+        sup.close()
+        raw = sup.state_path(home).read_bytes()
+        assert read_state_file(sup.state_path(home))["stats"]["offered"] == 6
+        damaged = [raw[:n] for n in range(len(raw))]
+        for i in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[i] ^= 0xFF
+            damaged.append(bytes(flipped))
+        probe = tmp_path / "probe.state"
+        for case in damaged:
+            probe.write_bytes(case)
+            with pytest.raises(CaptureFormatError):
+                read_state_file(probe)
+
+    def test_restart_over_damaged_state_fails_closed(self, tmp_path):
+        _, sup, home = self.rotated(tmp_path)
+        path = sup.state_path(home)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        sup.crash_shard(home)
+        with pytest.raises(CaptureFormatError, match="checksum"):
+            sup.restart_shard(home)
+        assert sup.quarantined == []  # the crashed host was not replaced
+        sup.close()
+
+    @pytest.mark.distributed
+    def test_worker_reports_damaged_state_as_crash(self, tmp_path):
+        loop = MainLoop()
+        with ProcessShardSupervisor(
+            loop,
+            tmp_path,
+            shards=1,
+            scope_factory=factory,
+            heartbeat_s=5.0,
+        ) as sup:
+            sup.push_samples(SIGNALS[0], (0.0,), (1.0,))
+            sup.snapshot_shard(0)
+            path = sup.state_path(0)
+            path.write_bytes(path.read_bytes()[:-1])  # torn payload
+            sup.kill_shard(0)
+            with pytest.raises(WorkerDied, match="crashed: CaptureFormatError"):
+                sup.restart_shard(0)

@@ -125,6 +125,48 @@ class TestWorkerHandle:
         finally:
             handle.close()
 
+    def test_crash_report_survives_a_failed_send(self):
+        """The child is dead before the next request: that request's
+        send fails first, yet the caller still gets the crash reason
+        (still unread in the socket), not a bare "died awaiting"."""
+        handle = WorkerHandle(0, poisoned_factory, heartbeat_s=5.0)
+        try:
+            handle.deliver(100.0, "poison", [90.0], [1.0])
+            handle.flush()
+            handle.process.join(timeout=30.0)
+            assert handle.exitcode == 1
+            with pytest.raises(WorkerDied, match="crashed: .*poisoned batch"):
+                handle.drain(1, timeout_s=30.0)
+        finally:
+            handle.close()
+
+    def test_pending_buffer_bounded_while_socket_backed_up(self):
+        """A socket that never takes the last byte keeps the buffer
+        non-empty forever; the already-sent prefix must still be
+        released, so router memory stays bounded."""
+
+        class BackedUpSocket:
+            def send(self, data):
+                if len(data) <= 1:
+                    raise BlockingIOError
+                return len(data) - 1
+
+        handle = WorkerHandle(0, factory, heartbeat_s=5.0)
+        real = handle.sock
+        try:
+            handle.sock = BackedUpSocket()
+            batch = np.zeros(1024)
+            peak = 0
+            while handle.bytes_sent < 1 << 20:
+                handle.deliver(100.0, "alpha", batch, batch)
+                peak = max(peak, len(handle._pending))
+            assert handle.pending_bytes == 1
+            assert peak < 256 << 10
+        finally:
+            handle.sock = real
+            handle.kill()
+            handle.close()
+
 
 @pytest.mark.distributed
 class TestProcessShardedScopeManager:
