@@ -12,8 +12,7 @@ path.
 X14 (process-model scaling): ingest throughput of
 :class:`ProcessShardedScopeManager` — real worker processes fed DELIVER
 frames over socketpairs.  X14a sweeps 1 → 2 → 4 workers at a fixed
-offered load; X14b compares the shared-memory column ring against the
-plain socketpair wire at 4 workers.  Speedups track the machine's core
+offered load.  Speedups track the machine's core
 count (``os.cpu_count()`` is emitted alongside every row — on a 1-core
 container all three X14a points post the same rate, by design).  Gated
 behind ``REPRO_BENCH=1`` like the regression gates; carries the
@@ -124,23 +123,19 @@ def _x14_factory(manager, shard_id):
         scope.start_polling()
 
 
-def bench_process_ingest(
-    workers: int, total_samples: int = X14_SAMPLES, use_shm: bool = False
-) -> dict:
+def bench_process_ingest(workers: int, total_samples: int = X14_SAMPLES) -> dict:
     """Offer ``total_samples`` round-robin across signals, drain, time it.
 
     The clock never advances, so every sample lands at its slot (nothing
-    drops) and the measurement is pure ingest: router encode + wire (or
-    shm ring) + child decode + FANOUT-way buffer insert.  The drain is
+    drops) and the measurement is pure ingest: router encode + wire +
+    child decode + FANOUT-way buffer insert.  The drain is
     inside the timed window — the rate is end-to-end samples per wall
     second, not enqueue speed.
     """
     rng = np.random.default_rng(7)
     values = rng.normal(size=X14_BATCH)
     times = np.zeros(X14_BATCH)
-    with ProcessShardedScopeManager(
-        shards=workers, scope_factory=_x14_factory, use_shm=use_shm
-    ) as mgr:
+    with ProcessShardedScopeManager(shards=workers, scope_factory=_x14_factory) as mgr:
         pushed = 0
         batch_i = 0
         t0 = time.perf_counter()
@@ -151,20 +146,13 @@ def bench_process_ingest(
         mgr.drain(timeout_s=600.0)
         wall = time.perf_counter() - t0
         totals = mgr.totals()
-        fallbacks = sum(
-            h.ring.fallbacks
-            for h in (mgr.handle_of(i) for i in mgr.shard_ids)
-            if h.ring is not None
-        )
     assert totals["accepted"] == pushed, totals
     return {
         "workers": workers,
-        "use_shm": use_shm,
         "samples": pushed,
         "wall_seconds": wall,
         "rate_per_sec": pushed / wall,
         "child_inserts": pushed * X14_FANOUT,
-        "ring_fallbacks": fallbacks,
         "cpu_count": os.cpu_count(),
     }
 
@@ -192,30 +180,4 @@ def test_x14a_worker_scaling(benchmark):
             for w in (1, 2, 4)
         ]
         + [("note", "speedup tracks cores; 1-core machines post flat rates")],
-    )
-
-
-@pytest.mark.benchmark
-@pytest.mark.distributed
-@x14_marks
-def test_x14b_shm_vs_socketpair(benchmark):
-    sweep = benchmark.pedantic(
-        lambda: {
-            mode: bench_process_ingest(4, use_shm=use_shm)
-            for mode, use_shm in (("socketpair", False), ("shm-ring", True))
-        },
-        rounds=1,
-        iterations=1,
-    )
-    assert sweep["socketpair"]["samples"] == sweep["shm-ring"]["samples"]
-    report(
-        "X14b: 4-worker transport — shm column ring vs socketpair",
-        [
-            (
-                mode,
-                f"{r['rate_per_sec']:>12,.0f} samples/s  "
-                f"ring_fallbacks {r['ring_fallbacks']}",
-            )
-            for mode, r in sweep.items()
-        ],
     )

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.cells import Counter, Histogram
+from repro.core.cells import Counter, Histogram, cell_property
 
 from repro.capture.format import (
     HEADER_SIZE,
@@ -56,16 +56,6 @@ _COUNTER_FIELDS = (
     "segments_written",
     "bytes_written",
 )
-
-
-def _cell_property(field: str) -> property:
-    def _get(self):
-        return self._cells[field].value
-
-    def _set(self, value):
-        self._cells[field].value = value
-
-    return property(_get, _set)
 
 
 class CaptureWriter:
@@ -118,10 +108,10 @@ class CaptureWriter:
         self._perf = time.perf_counter
 
     # Legacy counter attributes, now views over the ledger cells.
-    samples_written = _cell_property("samples_written")
-    blocks_written = _cell_property("blocks_written")
-    segments_written = _cell_property("segments_written")
-    bytes_written = _cell_property("bytes_written")
+    samples_written = cell_property("samples_written")
+    blocks_written = cell_property("blocks_written")
+    segments_written = cell_property("segments_written")
+    bytes_written = cell_property("bytes_written")
 
     def register_metrics(self, registry, prefix: str = "capture.") -> None:
         """Mount the writer ledger plus a pending-backlog gauge."""

@@ -122,6 +122,22 @@ class Histogram:
         return f"Histogram({self.name!r}, count={self.count}, sum={self.sum})"
 
 
+def cell_property(field: str) -> property:
+    """Attribute façade over the counter cell ``self._cells[field]``.
+
+    Lets a ledger class keep plain attribute access (read, ``+=``,
+    assign) while the integers live in cells a registry can mount.
+    """
+
+    def fget(self) -> int:
+        return self._cells[field].value
+
+    def fset(self, value: int) -> None:
+        self._cells[field].value = value
+
+    return property(fget, fset, doc=f"counter cell {field!r}")
+
+
 class _NullInstrument:
     """Shared no-op stand-in for every cell kind.
 

@@ -67,7 +67,7 @@ from repro.net.supervisor import (
     ShardSupervisor,
     SupervisionStats,
 )
-from repro.net.worker import ShmRing, WorkerDied, WorkerHandle
+from repro.net.worker import WorkerDied, WorkerHandle
 from repro.net.transport import (
     LatencyLink,
     MemoryEndpoint,
@@ -102,7 +102,6 @@ __all__ = [
     "ShardStats",
     "ShardSupervisor",
     "ShardedScopeManager",
-    "ShmRing",
     "SocketEndpoint",
     "SupervisionStats",
     "WireDecoder",

@@ -68,7 +68,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.cells import Counter
+from repro.core.cells import Counter, cell_property
 from repro.eventloop.clock import Clock
 from repro.eventloop.loop import MainLoop
 from repro.eventloop.sources import IOCondition
@@ -97,16 +97,6 @@ _COUNTER_FIELDS = (
     "dropped_frames",
     "reconnects",
 )
-
-
-def _cell_property(field: str) -> property:
-    def _get(self):
-        return self._cells[field].value
-
-    def _set(self, value):
-        self._cells[field].value = value
-
-    return property(_get, _set)
 
 
 class Subscription:
@@ -289,12 +279,12 @@ class ScopeClient:
 
     # Legacy counter attributes, now views over the ledger cells (one
     # source of truth shared with register_metrics / totals()).
-    sent = _cell_property("sent")
-    sent_frames = _cell_property("sent_frames")
-    bytes_sent = _cell_property("bytes_sent")
-    dropped_samples = _cell_property("dropped_samples")
-    dropped_frames = _cell_property("dropped_frames")
-    reconnects = _cell_property("reconnects")
+    sent = cell_property("sent")
+    sent_frames = cell_property("sent_frames")
+    bytes_sent = cell_property("bytes_sent")
+    dropped_samples = cell_property("dropped_samples")
+    dropped_frames = cell_property("dropped_frames")
+    reconnects = cell_property("reconnects")
 
     @property
     def clock(self) -> Clock:

@@ -218,7 +218,6 @@ class SharedQuery:
         #: connection); each gets its own ack/teardown lifecycle but the
         #: frames are shared per session-direction interning.
         self.subscribers: List[Tuple[_Session, str]] = []
-        self.samples_fanned = 0
         # Multiplexer-level ledger cells (NULL when standalone): every
         # fanned sample and every encode skipped by frame sharing.
         self._fanned_cell = fanned
@@ -287,9 +286,7 @@ class SharedQuery:
                 # already-encoded frame instead of paying its own encode.
                 self._saved_cell.inc(len(frame))
             tx.send(frame)
-        fanned = times.shape[0] * len(targets)
-        self.samples_fanned += fanned
-        self._fanned_cell.inc(fanned)
+        self._fanned_cell.inc(times.shape[0] * len(targets))
 
 
 class QueryMultiplexer:

@@ -122,11 +122,10 @@ class ScopeServer:
         self.auto_create = auto_create
         self.max_drain_bytes = max_drain_bytes
         self._clients: List[ClientState] = []
-        # Aggregate counters of departed clients (see disconnect()).
-        self._retired: Dict[str, int] = {k: 0 for k in _COUNTER_FIELDS}
         # Live aggregate cells: incremented at the same ingest sites as
-        # the per-session ints, so cell value == live sum + retired at
-        # every instant.  totals() is a view over these, and
+        # the per-session ints, so a departed session's traffic stays
+        # counted with no fold at disconnect.  totals() is a view over
+        # these, and
         # register_metrics() mounts the very same cells — one source of
         # truth for accessors and the ``__obs.`` publisher alike.
         self._cells: Dict[str, Counter] = {k: Counter(k) for k in _COUNTER_FIELDS}
@@ -160,7 +159,7 @@ class ScopeServer:
         return state
 
     def disconnect(self, state: ClientState, reason: str = "server") -> None:
-        """Drop a client, folding its counters into the retained totals.
+        """Drop a client; its counters stay in the retained totals.
 
         The ClientState is pruned from the live list — a long-running
         server with connection churn must not accumulate dead sessions —
@@ -185,8 +184,6 @@ class ScopeServer:
             self._clients.remove(state)
         except ValueError:
             return  # already pruned (double disconnect)
-        for key in _COUNTER_FIELDS:
-            self._retired[key] += getattr(state, key)
         self.retired_clients += 1
         self.disconnect_reasons[state.disconnect_reason] = (
             self.disconnect_reasons.get(state.disconnect_reason, 0) + 1
@@ -363,7 +360,7 @@ class ScopeServer:
 
         A view over the aggregate counter cells — the same cells
         :meth:`register_metrics` mounts — which the ingest path keeps
-        equal to (live session sums + retired fold) at every instant.
+        equal to the sum over every session, live or departed.
         """
         return {key: self._cells[key].value for key in _COUNTER_FIELDS}
 

@@ -26,7 +26,10 @@ configuration of it over one kind of shard backend:
 * :class:`ShardedScopeManager` — bare per-shard managers on the caller's
   loop (this module);
 * :class:`ProcessShardedScopeManager` — one worker process per shard,
-  fed over a socketpair (this module, over :mod:`repro.net.worker`);
+  fed DELIVER frames over a socketpair, the only path into a worker
+  (this module, over :mod:`repro.net.worker`); its :meth:`drain
+  <ProcessShardedScopeManager.drain>` is one ordered ``stats`` round
+  trip per worker;
 * :class:`~repro.net.supervisor.ShardSupervisor` and
   :class:`~repro.net.supervisor.ProcessShardSupervisor` — the same two
   backends behind one supervision layer (WAL-before-send, liveness
@@ -74,7 +77,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cells import Counter
+from repro.core.cells import Counter, cell_property
 from repro.core.manager import RESERVED_PREFIX, ScopeManager
 from repro.core.scope import Scope, ScopeError
 from repro.eventloop.loop import MainLoop
@@ -178,18 +181,6 @@ def shard_of(name: str, n_shards: int) -> int:
     return _default_ring(n_shards).locate(name)
 
 
-def _cell_property(field: str) -> property:
-    """Attribute façade over a named :class:`Counter` cell."""
-
-    def fget(self) -> int:
-        return self._cells[field].value
-
-    def fset(self, value: int) -> None:
-        self._cells[field].value = value
-
-    return property(fget, fset, doc=f"counter cell {field!r}")
-
-
 class ShardStats:
     """Per-shard ingest accounting (the backpressure counters).
 
@@ -248,7 +239,7 @@ class ShardStats:
     def _install_cell_properties(cls) -> None:
         for field in cls.COUNTER_FIELDS:
             if not isinstance(getattr(cls, field, None), property):
-                setattr(cls, field, _cell_property(field))
+                setattr(cls, field, cell_property(field))
 
     def cell(self, field: str) -> Counter:
         """The live counter cell behind ``field`` (for direct bridging)."""
@@ -720,11 +711,15 @@ class ShardedScopeManager(ShardRouter):
         self.loop.run_for(duration_ms)
 
 
+#: The ledger fields a worker's ``stats`` reply carries to the router.
+_REMOTE_LEDGER = ("offered", "accepted", "dropped_late", "query_quarantines")
+
+
 class WorkerPlane(ShardRouter):
     """What both process planes share: one :class:`WorkerHandle` per shard.
 
     Liveness-aware advance, the remote-ledger pull, drain-to-target,
-    the per-worker wall gauges and worker shutdown.  The late-drop
+    the per-worker wall gauge and worker shutdown.  The late-drop
     verdicts are made in the children, so :meth:`totals` is exact as of
     the last :meth:`refresh_stats` or drain.
     """
@@ -749,46 +744,41 @@ class WorkerPlane(ShardRouter):
             if self._live(handle):
                 handle.advance(now)
 
+    def _pull(self, shard_id: int, remote: Dict[str, Any]) -> None:
+        stats = self._stats[shard_id]
+        for key in _REMOTE_LEDGER:
+            setattr(stats, key, int(remote[key]))
+
     def refresh_stats(self, timeout_s: float = 10.0) -> None:
         """Pull each worker's ingest ledger into the router-side stats."""
         for shard_id, handle in self._backends.items():
-            remote = handle.stats(timeout_s=timeout_s)
-            stats = self._stats[shard_id]
-            for key in ("offered", "accepted", "dropped_late", "query_quarantines"):
-                setattr(stats, key, int(remote[key]))
+            self._pull(shard_id, handle.stats(timeout_s=timeout_s))
 
     def _drain_to(self, target: Callable[[int], int], timeout_s: float) -> None:
-        """Block until each worker has ingested ``target(shard_id)`` samples.
+        """One ordered ``stats`` round trip per worker, into the ledgers.
 
-        Real-time bound: raises :class:`~repro.net.worker.WorkerDied`
-        if a worker falls permanently behind (or died) within
-        ``timeout_s``.
+        Raises :class:`~repro.net.worker.WorkerDied` when a worker died,
+        stays silent past ``timeout_s``, or reports an ``offered`` other
+        than ``target(shard_id)`` (see :meth:`WorkerHandle.drain`).
         """
         for shard_id in sorted(self._backends):
-            self._backends[shard_id].drain(target(shard_id), timeout_s=timeout_s)
-        self.refresh_stats(timeout_s=timeout_s)
+            handle = self._backends[shard_id]
+            self._pull(shard_id, handle.drain(target(shard_id), timeout_s=timeout_s))
 
     def register_metrics(self, registry, prefix: str = "shard") -> None:
-        """Mount the ledgers plus three scrape-only gauges per worker.
+        """Mount the ledgers plus one scrape-only gauge per worker.
 
-        ``worker_pending_bytes``, ``ring_occupancy`` and
-        ``ring_fallbacks`` look the *current* handle up by shard id, so
-        they track respawns; they reflect kernel/socket timing, hence
+        ``worker_pending_bytes`` looks the *current* handle up by shard
+        id, so it tracks respawns; it reflects socket timing, hence
         ``wall=True`` (never published).
         """
         super().register_metrics(registry, prefix)
-        gauges = {
-            "worker_pending_bytes": lambda h: float(h.pending_bytes),
-            "ring_occupancy": lambda h: h.ring.occupancy() if h.ring else 0.0,
-            "ring_fallbacks": lambda h: float(h.ring.fallbacks if h.ring else 0),
-        }
         for shard_id in sorted(self._stats):
-            for field, read in gauges.items():
-                registry.gauge(
-                    f"{prefix}{shard_id}.{field}",
-                    fn=lambda sid=shard_id, read=read: read(self._backends[sid]),
-                    wall=True,
-                )
+            registry.gauge(
+                f"{prefix}{shard_id}.worker_pending_bytes",
+                fn=lambda sid=shard_id: float(self._backends[sid].pending_bytes),
+                wall=True,
+            )
 
     def close(self, timeout_s: float = 10.0) -> None:
         """Shut every worker down (graceful, then SIGKILL on timeout)."""
@@ -805,23 +795,22 @@ class ProcessShardedScopeManager(WorkerPlane):
     is identical (the same :class:`HashRing`, the same placement
     contract), but each shard's scopes live in a child process running a
     :class:`~repro.net.supervisor.ShardHost` on its own event loop, fed
-    over a socketpair with the binary protocol (DELIVER frames;
-    optionally a shared-memory ring for the column bytes — see
+    over a socketpair with the binary protocol (DELIVER frames — see
     :mod:`repro.net.worker`).  Ingest therefore runs on as many cores as
     there are workers, while the router pays only encode + send.
 
     The push API is **asynchronous**: :meth:`push_samples` returns the
     *offered* count once the batch is queued to the home worker, and the
     accept/late-drop verdicts accumulate in the child.  :meth:`drain`
-    blocks (in real time) until every worker has ingested everything the
-    router sent, then :meth:`totals` is exact.  Per-shard backpressure
-    is the worker writer's bounded pending buffer: past its high
-    watermark the router push *blocks* on that worker's socket instead
-    of growing memory without bound.
+    makes one ordered ``stats`` round trip per worker, answered once the
+    worker has ingested everything the router sent; then :meth:`totals`
+    is exact.  Per-shard backpressure is the worker writer's bounded
+    pending buffer: past its high watermark the router push *blocks* on
+    that worker's socket instead of growing memory without bound.
 
     Supervision (WAL-before-send, liveness, respawn) is deliberately not
     here — that is :class:`~repro.net.supervisor.ProcessShardSupervisor`;
-    this class is the fast path the scaling benchmarks (X14a/b) measure.
+    this class is the fast path the scaling benchmark (X14a) measures.
     """
 
     def __init__(
@@ -829,12 +818,8 @@ class ProcessShardedScopeManager(WorkerPlane):
         shards: int = 4,
         scope_factory: Optional[Callable] = None,
         loop: Optional[MainLoop] = None,
-        heartbeat_s: float = 1.0,
-        use_shm: bool = False,
     ) -> None:
         self.scope_factory = scope_factory
-        self.heartbeat_s = float(heartbeat_s)
-        self.use_shm = bool(use_shm)
         # Continuous queries attached through this router: qid → home
         # shard, so detach_query knows which worker to tell.
         self._query_homes: Dict[str, int] = {}
@@ -842,12 +827,7 @@ class ProcessShardedScopeManager(WorkerPlane):
         super().__init__(shards, loop)
 
     def _spawn(self, shard_id: int, now: float) -> WorkerHandle:
-        return WorkerHandle(
-            shard_id,
-            self.scope_factory,
-            heartbeat_s=self.heartbeat_s,
-            use_shm=self.use_shm,
-        )
+        return WorkerHandle(shard_id, self.scope_factory)
 
     # -- push (async) ---------------------------------------------------
     def push_samples(self, name: str, times, values) -> int:
@@ -918,5 +898,9 @@ class ProcessShardedScopeManager(WorkerPlane):
 
     # -- accounting -----------------------------------------------------
     def drain(self, timeout_s: float = 30.0) -> None:
-        """Block until every worker has ingested every sample sent to it."""
+        """Block until every worker has ingested every sample sent to it.
+
+        Raises :class:`~repro.net.worker.WorkerDied` if a worker reports
+        a count other than what was sent to it.
+        """
         self._drain_to(lambda sid: self._backends[sid].samples_sent, timeout_s)

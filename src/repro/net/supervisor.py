@@ -58,11 +58,14 @@ Snapshots and WAL rotation
 router instant, writes it to a state file and retires every WAL segment
 it covers, so recovery becomes ``snapshot + suffix replay`` and WAL disk
 stays bounded by the snapshot cadence.  The state file is fail-closed:
-a magic, a format version, the payload length and a crc32 guard the
-pickled snapshot, and any mismatch raises
+it holds :func:`~repro.net.worker.encode_state` bytes — a magic, a
+format version, the payload length and a crc32 guard the pickled
+snapshot — and any mismatch raises
 :class:`~repro.capture.format.CaptureFormatError` instead of restoring
 wrong state (completed segments are already gone, so no fallback
-exists).
+exists).  A worker's ``snapshot`` reply carries the same bytes and is
+checked the same way before the state file is written or any segment
+retired.
 
 Caveat: byte-identity covers signals registered by the
 ``scope_factory``.  Signals *auto-created* by the server on first
@@ -74,9 +77,6 @@ from __future__ import annotations
 
 import enum
 import os
-import pickle
-import struct
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,14 +84,13 @@ from typing import Callable, Deque, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.capture.format import CaptureFormatError
 from repro.capture.reader import CaptureReader
 from repro.capture.replay import ReplaySource
 from repro.capture.writer import CaptureWriter
 from repro.core.manager import RESERVED_PREFIX, ScopeManager
 from repro.eventloop.loop import MainLoop
 from repro.net.shard import ShardRouter, ShardStats, WorkerPlane
-from repro.net.worker import WorkerHandle
+from repro.net.worker import WorkerHandle, decode_state, encode_state
 
 __all__ = [
     "BEAT_GRACE_S",
@@ -121,45 +120,17 @@ BEAT_GRACE_S = 60.0
 #: The ingest ledger a snapshot carries and a restart rebuilds.
 _LEDGER = ("offered", "accepted", "dropped_late")
 
-#: State file header: magic, format version, payload length, crc32 of
-#: the payload (little-endian); the pickled snapshot dict follows.
-_STATE_HEADER = struct.Struct("<4sHQI")
-_STATE_MAGIC = b"GSST"
-_STATE_VERSION = 1
-
 
 def write_state_file(path: Path, snap: dict) -> None:
     """Atomically write a shard snapshot behind its checked header."""
-    payload = pickle.dumps(snap)
     tmp = path.with_suffix(".state.tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(
-            _STATE_HEADER.pack(
-                _STATE_MAGIC, _STATE_VERSION, len(payload), zlib.crc32(payload)
-            )
-        )
-        fh.write(payload)
+    tmp.write_bytes(encode_state(snap))
     os.replace(tmp, path)  # atomic: never a torn state file
 
 
 def read_state_file(path: Union[str, Path]) -> dict:
-    """Load a shard snapshot; any damage raises :class:`CaptureFormatError`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _STATE_HEADER.size:
-        raise CaptureFormatError(f"state file {path}: truncated header")
-    magic, version, length, crc = _STATE_HEADER.unpack_from(raw)
-    if magic != _STATE_MAGIC:
-        raise CaptureFormatError(f"state file {path}: bad magic {magic!r}")
-    if version != _STATE_VERSION:
-        raise CaptureFormatError(f"state file {path}: unsupported version {version}")
-    payload = memoryview(raw)[_STATE_HEADER.size :]
-    if len(payload) != length:
-        raise CaptureFormatError(
-            f"state file {path}: payload of {len(payload)} bytes, header says {length}"
-        )
-    if zlib.crc32(payload) != crc:
-        raise CaptureFormatError(f"state file {path}: payload checksum mismatch")
-    return pickle.loads(payload)
+    """Load a shard snapshot; any damage raises ``CaptureFormatError``."""
+    return decode_state(Path(path).read_bytes(), f"state file {path}")
 
 
 class ShardState(enum.Enum):
@@ -243,7 +214,7 @@ class ShardHost:
         # The heartbeat attaches before the factory's poll timers and
         # before any ReplaySource, so its dispatch order relative to
         # them is the same on the original host and on every restart.
-        self._beat_id = self.loop.timeout_add(self.heartbeat_ms, self._beat)
+        self.loop.timeout_add(self.heartbeat_ms, self._beat)
         self.manager = ScopeManager(self.loop)
         if scope_factory is not None:
             scope_factory(self.manager, shard_id)
@@ -251,9 +222,7 @@ class ShardHost:
         self.stats = stats if stats is not None else SupervisionStats()
         self._inbox: Deque[_Delivery] = deque()
         self.crash_error: Optional[BaseException] = None
-        #: Set by :meth:`restore`: whether a snapshot was loaded, and
-        #: how many WAL samples were re-driven.
-        self.restored = False
+        #: WAL samples re-driven by :meth:`restore`.
         self.replayed_samples = 0
 
     def _beat(self, lost: int = 0) -> bool:
@@ -370,7 +339,6 @@ class ShardHost:
             self.manager.load_state(snap["manager"])
             for key in _LEDGER:
                 setattr(self.stats, key, int(snap["stats"][key]))
-            self.restored = True
         if wal_path is not None and any(Path(wal_path).glob("*.gseg")):
             with CaptureReader(wal_path, recover_tail=True) as reader:
                 source = ReplaySource(reader, _HostTarget(self))
@@ -442,7 +410,6 @@ class SupervisedRouter(ShardRouter):
         scope_factory: Optional[ScopeFactory],
         monitor_interval_ms: float,
         segment_samples: int,
-        auto_start: bool,
     ) -> None:
         self.wal_root = Path(wal_root)
         self.scope_factory = scope_factory
@@ -452,8 +419,6 @@ class SupervisedRouter(ShardRouter):
         self._restart_epoch = 0  # bumps topology_version on every restart
         self._wals = {i: self._new_wal(i) for i in range(shards)}
         super().__init__(shards, loop)
-        if auto_start:
-            self.start()
 
     def _new_wal(self, shard_id: int) -> CaptureWriter:
         return CaptureWriter(
@@ -487,10 +452,6 @@ class SupervisedRouter(ShardRouter):
         if self._monitor_id is not None:
             self.loop.remove(self._monitor_id)
             self._monitor_id = None
-
-    @property
-    def monitoring(self) -> bool:
-        return self._monitor_id is not None
 
     def _monitor(self, lost: int = 0) -> bool:
         now = self.loop.clock.now()
@@ -558,7 +519,8 @@ class SupervisedRouter(ShardRouter):
         continuing in the same directory (segment numbering restarts at
         zero, preserving the reader's contiguous-from-0 contract).  A
         backend that cannot pin its state — a stalled or crashed host, a
-        dead worker — raises, and the WAL is left intact.
+        dead worker, a damaged snapshot reply — raises, and the WAL is
+        left intact.
         """
         backend = self._backends[shard_id]
         backend.advance(self.loop.clock.now())
@@ -647,8 +609,10 @@ class ShardSupervisor(SupervisedRouter):
         #: Replaced hosts, retained for post-mortem (``crash_error``).
         self.quarantined: List[ShardHost] = []
         super().__init__(
-            loop, wal_root, shards, scope_factory, interval, segment_samples, auto_start
+            loop, wal_root, shards, scope_factory, interval, segment_samples
         )
+        if auto_start:
+            self.start()
 
     def _spawn(self, shard_id: int, now: float) -> ShardHost:
         host = ShardHost(
@@ -745,7 +709,9 @@ class ProcessShardSupervisor(SupervisedRouter, WorkerPlane):
     :meth:`snapshot_shard` piggybacks on that same order: the snapshot
     request is queued *behind* every prior delivery, so the captured
     state provably covers everything WAL'd, and the segments can be
-    retired the moment the state file lands.
+    retired the moment the state file lands.  :meth:`drain` rides it
+    too: one ``stats`` round trip per worker.  The liveness monitor
+    starts at construction.
     """
 
     def __init__(
@@ -754,23 +720,13 @@ class ProcessShardSupervisor(SupervisedRouter, WorkerPlane):
         wal_root: Union[str, Path],
         shards: int = 4,
         scope_factory: Optional[ScopeFactory] = None,
-        heartbeat_s: float = 1.0,
         monitor_interval_ms: float = 50.0,
         segment_samples: int = 1 << 12,
-        use_shm: bool = False,
-        auto_start: bool = True,
     ) -> None:
-        self.heartbeat_s = float(heartbeat_s)
-        self.use_shm = bool(use_shm)
         super().__init__(
-            loop,
-            wal_root,
-            shards,
-            scope_factory,
-            monitor_interval_ms,
-            segment_samples,
-            auto_start,
+            loop, wal_root, shards, scope_factory, monitor_interval_ms, segment_samples
         )
+        self.start()
 
     def _spawn(self, shard_id: int, now: float) -> WorkerHandle:
         old = self._backends.get(shard_id)
@@ -780,11 +736,9 @@ class ProcessShardSupervisor(SupervisedRouter, WorkerPlane):
         return WorkerHandle(
             shard_id,
             self.scope_factory,
-            heartbeat_s=self.heartbeat_s,
             wal_path=self._wals[shard_id].path,
             state_path=self.state_path(shard_id),
             start_now=now,
-            use_shm=self.use_shm,
         )
 
     def _send(self, shard_id: int, now: float, name: str, times, values) -> int:
@@ -827,7 +781,9 @@ class ProcessShardSupervisor(SupervisedRouter, WorkerPlane):
 
         The drain target is the WAL ledger, not the live-send ledger: a
         respawned worker's ``offered`` covers replayed *and* live
-        samples, and the WAL count is exactly that union.
+        samples, and the WAL count is exactly that union.  A worker
+        reporting any other count raises
+        :class:`~repro.net.worker.WorkerDied`.
         """
         self.ensure_alive()
         self._drain_to(lambda sid: self._stats[sid].wal_bytes // 16, timeout_s)

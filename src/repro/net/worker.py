@@ -9,25 +9,29 @@ This module puts each shard on a real **process**:
   the in-process plane uses, with its private event loop and virtual
   clock — and is driven *entirely* by messages from the router, so its
   timeline is deterministic and replayable;
-* the transport is a ``socketpair`` speaking the binary protocol:
-  ``DELIVER`` frames carry the column batches stamped with the router's
+* the transport is one ``socketpair`` speaking the binary protocol, the
+  only path bytes take between router and worker: ``DELIVER`` frames
+  carry the column batches (with their crc32) stamped with the router's
   push instant, and ``CONTROL`` frames carry the JSON supervision side
-  channel (heartbeats, stats, snapshot/shutdown);
-* optionally, the column bytes travel through a same-host shared-memory
-  ring (:class:`ShmRing`) instead of the socket; the socket then carries
-  only a tiny ``shmrec`` token per batch, keeping *ordering* on the one
-  stream while the bulk bytes skip the kernel copy.
+  channel (heartbeats, stats, snapshot/shutdown).
 
 Delivery timeline
 -----------------
 
 The child's loop only advances when the router says so: a ``DELIVER``
-frame (or ring record) carries the router clock's ``now``, and the child
-runs ``loop.run_through(now)`` before ingesting — exactly what the
+frame carries the router clock's ``now``, and the child runs
+``loop.run_through(now)`` before ingesting — exactly what the
 in-process :meth:`ShardHost.deliver` does.  Idle shards advance via
 periodic ``advance`` controls.  Because the timeline is message-driven,
 a respawned worker that re-drives the same WAL reaches a byte-identical
 state (the in-process equivalence argument carries over unchanged).
+
+The socket is also the one total order of the exchange: the child
+handles frames in stream order, so a control request is answered only
+after every delivery sent before it.  A ``stats`` reply therefore
+covers everything the router sent — :meth:`WorkerHandle.drain` is one
+round trip, and a shortfall in it is lost data, not lag — and a
+``snapshot`` covers every delivery (and WAL record) that preceded it.
 
 Restart protocol
 ----------------
@@ -44,6 +48,18 @@ the reason before exiting, and the handle raises it as
 :class:`WorkerDied` ``("… crashed: …")``, even when the report is still
 unread behind a send that already failed.
 
+Shard state format
+------------------
+
+A snapshot travels in one checked format (:func:`encode_state` /
+:func:`decode_state`): a magic, a format version, the payload length
+and a crc32 guard the pickled state.  CONTROL frames carry no checksum
+of their own, so the ``snapshot`` reply carries those bytes (base64
+inside the JSON) and the supervisor's state file holds the same bytes:
+a damaged reply raises
+:class:`~repro.capture.format.CaptureFormatError` before any state file
+is written or any WAL segment retired.
+
 Fork start method: workers are forked, so the ``scope_factory`` is
 inherited by reference and never pickled — test factories and closures
 work unchanged.
@@ -58,36 +74,36 @@ import select
 import socket
 import struct
 import time
+import zlib
 from multiprocessing import get_context
-from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.capture.format import CaptureFormatError
 from repro.net.protocol import (
     FrameDecoder,
     FrameKind,
-    MAX_FRAME_SAMPLES,
     ProtocolError,
     encode_control,
     encode_deliver,
     encode_name_def,
 )
 
-__all__ = ["ShmRing", "WorkerDied", "WorkerHandle", "worker_main"]
+__all__ = [
+    "HEARTBEAT_S",
+    "WorkerDied",
+    "WorkerHandle",
+    "decode_state",
+    "encode_state",
+    "worker_main",
+]
 
 _FORK = get_context("fork")
 
-#: Ring record header: name_id(u32) count(u32) now(f8) — 16 bytes, so
-#: every record (header + two float64 columns) is 16-byte aligned and a
-#: wrap marker always fits in the contiguous space left at the end.
-_REC_HEADER = struct.Struct("<IId")
-_RING_MARK = 0xFFFFFFFF  # name_id sentinel: jump back to offset 0
-_CURSORS = struct.Struct("<QQ")  # tail (producer), head (consumer)
-_DATA_OFF = 16
-
-#: Shared-memory ring size per worker (``use_shm``).
-RING_BYTES = 1 << 22
+#: Real seconds of socket silence after which an idle child sends a
+#: ``beat`` control, so the parent can tell "slow" from "gone".
+HEARTBEAT_S = 1.0
 #: High watermark of a handle's unsent bytes: past it the router push
 #: blocks on that worker's socket (per-shard backpressure).
 MAX_PENDING_BYTES = 4 << 20
@@ -97,124 +113,48 @@ READY_TIMEOUT_S = 60.0
 #: Sent-prefix size past which a backed-up pending buffer is compacted.
 _COMPACT_BYTES = 1 << 16
 
+#: Shard state header: magic, format version, payload length, crc32 of
+#: the payload (little-endian); the pickled snapshot dict follows.
+_STATE_HEADER = struct.Struct("<4sHQI")
+_STATE_MAGIC = b"GSST"
+_STATE_VERSION = 1
+
 
 class WorkerDied(RuntimeError):
     """The worker process is gone (or unresponsive past its deadline)."""
 
 
-class ShmRing:
-    """Single-producer single-consumer byte ring in shared memory.
+def encode_state(snap: dict) -> bytes:
+    """A shard snapshot behind its checked header (state file bytes)."""
+    payload = pickle.dumps(snap)
+    header = _STATE_HEADER.pack(
+        _STATE_MAGIC, _STATE_VERSION, len(payload), zlib.crc32(payload)
+    )
+    return header + payload
 
-    Carries DELIVER records (name_id, count, now, then the two float64
-    columns) from router to worker without the socket's kernel copy.
-    Ordering and wakeup are NOT the ring's job: the producer sends one
-    ``shmrec`` token over the socket per record, *after* the record is
-    fully written, so the socket stream stays the single total order of
-    deliveries and the consumer never reads a half-written record (the
-    token's send/recv pair is the happens-before edge).
 
-    Layout: bytes ``[0, 16)`` hold the ``tail``/``head`` cursors; data
-    lives in ``[16, 16 + cap)`` with ``cap`` a multiple of 16.  Cursors
-    are byte offsets into the data region, always 16-aligned; one
-    16-byte slot stays unused to distinguish full from empty.  A record
-    that would straddle the end is preceded by a 16-byte wrap marker
-    (``name_id == 0xFFFFFFFF``) and written at offset 0 instead.
+def decode_state(raw: bytes, source: str) -> dict:
+    """Inverse of :func:`encode_state`.
+
+    Any damage — truncation, a flipped byte, a foreign file — raises
+    :class:`~repro.capture.format.CaptureFormatError` naming ``source``;
+    the payload is unpickled only once its length and crc32 match.
     """
-
-    def __init__(self, shm: shared_memory.SharedMemory, owner: bool) -> None:
-        self.shm = shm
-        self.owner = owner
-        self.cap = (len(shm.buf) - _DATA_OFF) & ~15
-        if self.cap < 4096:
-            raise ValueError(f"ring too small: {len(shm.buf)} bytes")
-        if owner:
-            _CURSORS.pack_into(shm.buf, 0, 0, 0)
-        self.records = 0
-        self.fallbacks = 0  # producer-side: records that didn't fit
-
-    @classmethod
-    def create(cls, ring_bytes: int) -> "ShmRing":
-        shm = shared_memory.SharedMemory(create=True, size=_DATA_OFF + ring_bytes)
-        return cls(shm, owner=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "ShmRing":
-        return cls(shared_memory.SharedMemory(name=name), owner=False)
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def _cursors(self) -> tuple:
-        return _CURSORS.unpack_from(self.shm.buf, 0)
-
-    def used_bytes(self) -> int:
-        """Bytes currently occupied by written-but-unconsumed records."""
-        tail, head = self._cursors()
-        return (tail - head) % self.cap
-
-    def occupancy(self) -> float:
-        """Ring fullness in ``[0, 1]`` (the backpressure signal)."""
-        return self.used_bytes() / self.cap
-
-    def try_push(self, name_id: int, now: float, tb: bytes, vb: bytes) -> bool:
-        """Write one record; False (caller falls back to DELIVER) if full."""
-        rec = _REC_HEADER.size + len(tb) + len(vb)
-        tail, head = self._cursors()
-        used = (tail - head) % self.cap
-        free = self.cap - used - 16
-        contig = self.cap - tail
-        need = rec if contig >= rec else contig + rec
-        if need > free:
-            self.fallbacks += 1
-            return False
-        buf = self.shm.buf
-        if contig < rec:
-            _REC_HEADER.pack_into(buf, _DATA_OFF + tail, _RING_MARK, 0, 0.0)
-            tail = 0
-        pos = _DATA_OFF + tail
-        _REC_HEADER.pack_into(buf, pos, name_id, len(tb) // 8, now)
-        pos += _REC_HEADER.size
-        buf[pos : pos + len(tb)] = tb
-        pos += len(tb)
-        buf[pos : pos + len(vb)] = vb
-        new_tail = (tail + rec) % self.cap
-        # Publish the tail last; the socket token provides the actual
-        # cross-process ordering, this just keeps free-space accounting
-        # coherent for the producer.
-        struct.pack_into("<Q", buf, 0, new_tail)
-        self.records += 1
-        return True
-
-    def pop(self) -> tuple:
-        """Consume exactly one record: ``(name_id, now, times, values)``.
-
-        Only called after a ``shmrec`` token arrived, so a record is
-        guaranteed present and fully written.
-        """
-        buf = self.shm.buf
-        tail, head = self._cursors()
-        name_id, count, now = _REC_HEADER.unpack_from(buf, _DATA_OFF + head)
-        if name_id == _RING_MARK:
-            head = 0
-            name_id, count, now = _REC_HEADER.unpack_from(buf, _DATA_OFF)
-        pos = _DATA_OFF + head + _REC_HEADER.size
-        times = np.frombuffer(buf, dtype="<f8", count=count, offset=pos).copy()
-        values = np.frombuffer(
-            buf, dtype="<f8", count=count, offset=pos + 8 * count
-        ).copy()
-        rec = _REC_HEADER.size + 16 * count
-        struct.pack_into("<Q", buf, 8, (head + rec) % self.cap)
-        self.records += 1
-        return name_id, now, times, values
-
-    def close(self) -> None:
-        self.shm.close()
-        if self.owner:
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:
-                pass
+    if len(raw) < _STATE_HEADER.size:
+        raise CaptureFormatError(f"{source}: truncated header")
+    magic, version, length, crc = _STATE_HEADER.unpack_from(raw)
+    if magic != _STATE_MAGIC:
+        raise CaptureFormatError(f"{source}: bad magic {magic!r}")
+    if version != _STATE_VERSION:
+        raise CaptureFormatError(f"{source}: unsupported version {version}")
+    payload = memoryview(raw)[_STATE_HEADER.size :]
+    if len(payload) != length:
+        raise CaptureFormatError(
+            f"{source}: payload of {len(payload)} bytes, header says {length}"
+        )
+    if zlib.crc32(payload) != crc:
+        raise CaptureFormatError(f"{source}: payload checksum mismatch")
+    return pickle.loads(payload)
 
 
 # ----------------------------------------------------------------------
@@ -225,11 +165,9 @@ def worker_main(
     parent_fd: int,
     shard_id: int,
     scope_factory,
-    heartbeat_s: float,
     wal_path: Optional[str],
     state_path: Optional[str],
     start_now: float,
-    ring_name: Optional[str],
 ) -> None:
     """Child entrypoint: host one shard, driven by the router socket."""
     from repro.net.supervisor import ShardHost
@@ -238,7 +176,6 @@ def worker_main(
         os.close(parent_fd)  # drop the inherited copy of the parent's end
     except OSError:
         pass
-    ring = ShmRing.attach(ring_name) if ring_name else None
     exit_code = 0
 
     def reply(op: str, **fields: Any) -> None:
@@ -248,13 +185,8 @@ def worker_main(
         host = ShardHost(shard_id, scope_factory)
         host.restore(state_path, wal_path, start_now)
         sock.setblocking(True)
-        sock.settimeout(heartbeat_s)
-        reply(
-            "ready",
-            shard=shard_id,
-            restored=host.restored,
-            replayed=host.replayed_samples,
-        )
+        sock.settimeout(HEARTBEAT_S)
+        reply("ready", shard=shard_id, replayed=host.replayed_samples)
         names: Dict[int, str] = {}
         decoder = FrameDecoder()
         # Continuous queries attached over the control channel: qid →
@@ -266,12 +198,6 @@ def worker_main(
         def count_quarantine(_live, _exc) -> None:
             host.stats.query_quarantines += 1
 
-        def deliver(name_id: int, now: float, times, values) -> None:
-            name = names.get(name_id)
-            if name is None:
-                raise ProtocolError(f"delivery for undefined name id {name_id}")
-            host.deliver(now, name, times, values)
-
         running = True
         while running:
             try:
@@ -279,20 +205,23 @@ def worker_main(
             except socket.timeout:
                 # Idle interval: heartbeat over the control channel so
                 # the parent can tell "slow" from "gone" in real time.
-                reply("beat", beats=host.beats)
+                reply("beat")
                 continue
             if not chunk:
                 break  # router went away without a shutdown — exit clean
             for frame in decoder.feed(chunk):
                 if frame.kind is FrameKind.DELIVER:
-                    deliver(frame.name_id, frame.now, frame.times, frame.values)
+                    name = names.get(frame.name_id)
+                    if name is None:
+                        raise ProtocolError(
+                            f"delivery for undefined name id {frame.name_id}"
+                        )
+                    host.deliver(frame.now, name, frame.times, frame.values)
                 elif frame.kind is FrameKind.NAME_DEF:
                     names[frame.name_id] = frame.name
                 elif frame.kind is FrameKind.CONTROL:
                     op = frame.control.get("op")
-                    if op == "shmrec":
-                        deliver(*ring.pop())
-                    elif op == "advance":
+                    if op == "advance":
                         host.advance(float(frame.control["now"]))
                     elif op == "stats":
                         reply(
@@ -309,7 +238,7 @@ def worker_main(
                         )
                     elif op == "snapshot":
                         host.advance(float(frame.control["now"]))
-                        blob = pickle.dumps(host.snapshot_state())
+                        blob = encode_state(host.snapshot_state())
                         reply(
                             "snapshot",
                             shard=shard_id,
@@ -342,8 +271,6 @@ def worker_main(
                         if live is not None:
                             live.detach()
                         reply("query_detached", id=qid, known=live is not None)
-                    elif op == "ping":
-                        reply("pong")
                     elif op == "shutdown":
                         reply("bye")
                         running = False
@@ -364,8 +291,6 @@ def worker_main(
             sock.close()
         except OSError:
             pass
-        if ring is not None:
-            ring.shm.close()  # attach-side: close the mapping, never unlink
     os._exit(exit_code)
 
 
@@ -375,12 +300,12 @@ def worker_main(
 class WorkerHandle:
     """Router-side handle on one worker process.
 
-    Owns the process, the socket, the optional shm ring and the
-    per-connection name interning.  Writes are non-blocking with a
-    bounded pending buffer: past :data:`MAX_PENDING_BYTES` the handle
-    *blocks* on the socket (per-shard backpressure) instead of growing
-    router memory without bound, and the already-sent prefix of a
-    backed-up buffer is released as it accumulates.
+    Owns the process, the socket and the per-connection name interning.
+    Writes are non-blocking with a bounded pending buffer: past
+    :data:`MAX_PENDING_BYTES` the handle *blocks* on the socket
+    (per-shard backpressure) instead of growing router memory without
+    bound, and the already-sent prefix of a backed-up buffer is released
+    as it accumulates.
 
     Construction is synchronous: the handle waits for the child's
     ``ready`` control — which arrives only after any snapshot restore
@@ -392,15 +317,11 @@ class WorkerHandle:
         self,
         shard_id: int,
         scope_factory,
-        heartbeat_s: float = 1.0,
         wal_path: Optional[str] = None,
         state_path: Optional[str] = None,
         start_now: float = 0.0,
-        use_shm: bool = False,
     ) -> None:
         self.shard_id = shard_id
-        self.heartbeat_s = float(heartbeat_s)
-        self.ring = ShmRing.create(RING_BYTES) if use_shm else None
         parent_sock, child_sock = socket.socketpair()
         self.process = _FORK.Process(
             target=worker_main,
@@ -409,11 +330,9 @@ class WorkerHandle:
                 parent_sock.fileno(),
                 shard_id,
                 scope_factory,
-                self.heartbeat_s,
                 str(wal_path) if wal_path is not None else None,
                 str(state_path) if state_path is not None else None,
                 float(start_now),
-                self.ring.name if self.ring is not None else None,
             ),
             daemon=True,
         )
@@ -429,9 +348,7 @@ class WorkerHandle:
         self.link_down = False
         self._eof = False  # everything the child will ever send is read
         self.samples_sent = 0
-        self.frames_sent = 0
         self.bytes_sent = 0
-        self.beats_seen = 0
         self.last_now = 0.0  # latest router instant sent to the worker
         self.last_beat_monotonic = time.monotonic()
         try:
@@ -440,7 +357,6 @@ class WorkerHandle:
             self.close(timeout_s=2.0)
             raise
         self.replayed_samples = int(ready.get("replayed", 0))
-        self.restored = bool(ready.get("restored", False))
 
     # -- liveness -------------------------------------------------------
     def is_alive(self) -> bool:
@@ -551,16 +467,8 @@ class WorkerHandle:
         if n == 0:
             return 0
         self.last_now = max(self.last_now, float(now))
-        name_id = self._intern(name)
-        if self.ring is not None and n <= MAX_FRAME_SAMPLES:
-            if self.ring.try_push(name_id, float(now), t.tobytes(), v.tobytes()):
-                self._queue(encode_control({"op": "shmrec"}))
-                self.samples_sent += n
-                self.frames_sent += 1
-                return n
-        self._queue(encode_deliver(name_id, float(now), t, v))
+        self._queue(encode_deliver(self._intern(name), float(now), t, v))
         self.samples_sent += n
-        self.frames_sent += 1
         return n
 
     def advance(self, now: float) -> None:
@@ -589,9 +497,7 @@ class WorkerHandle:
                 if frame.kind is not FrameKind.CONTROL:
                     continue
                 self.last_beat_monotonic = time.monotonic()
-                if frame.control.get("op") == "beat":
-                    self.beats_seen = int(frame.control.get("beats", 0))
-                else:
+                if frame.control.get("op") != "beat":
                     self._inbox.append(frame.control)
 
     def _wait_for(self, op: str, timeout_s: float) -> Dict[str, Any]:
@@ -637,17 +543,21 @@ class WorkerHandle:
         return self.request({"op": "stats"}, "stats", timeout_s)
 
     def drain(self, target_offered: int, timeout_s: float = 30.0) -> Dict[str, Any]:
-        """Block until the child has ingested ``target_offered`` samples."""
-        deadline = time.monotonic() + timeout_s
-        while True:
-            remote = self.stats(timeout_s=max(1.0, deadline - time.monotonic()))
-            if int(remote["offered"]) >= target_offered:
-                return remote
-            if time.monotonic() > deadline:
-                raise WorkerDied(
-                    f"worker {self.shard_id} drain stalled at "
-                    f"{remote['offered']}/{target_offered}"
-                )
+        """The child's ledger once it has ingested everything sent so far.
+
+        One ``stats`` round trip: the request queues behind every
+        delivery already sent on the socket and the child ingests in
+        stream order, so the reply covers all of them.  An ``offered``
+        other than ``target_offered`` is therefore lost (or invented)
+        data, not lag, and raises :class:`WorkerDied`.
+        """
+        remote = self.stats(timeout_s=timeout_s)
+        if int(remote["offered"]) != target_offered:
+            raise WorkerDied(
+                f"worker {self.shard_id} ingested {remote['offered']} samples, "
+                f"{target_offered} were sent"
+            )
+        return remote
 
     def attach_query(
         self, qid: str, text: str, timeout_s: float = 10.0
@@ -672,16 +582,23 @@ class WorkerHandle:
         )
 
     def snapshot_state(self, timeout_s: float = 30.0) -> Dict[str, Any]:
-        """Fetch the child's full data-plane state (pickled blob).
+        """Fetch the child's full data-plane state.
 
         The child advances through the latest instant this handle has
         committed to (pushes and advances both carry the router clock)
-        before capturing, so the snapshot is pinned to that ``now``.
+        before capturing, so the snapshot is pinned to that ``now``.  A
+        damaged reply raises
+        :class:`~repro.capture.format.CaptureFormatError`.
         """
         reply = self.request(
             {"op": "snapshot", "now": self.last_now}, "snapshot", timeout_s
         )
-        return pickle.loads(base64.b64decode(reply["blob"]))
+        source = f"worker {self.shard_id} snapshot reply"
+        try:
+            raw = base64.b64decode(reply.get("blob"), validate=True)
+        except (ValueError, TypeError) as exc:  # binascii.Error is a ValueError
+            raise CaptureFormatError(f"{source}: blob is not base64 ({exc})") from None
+        return decode_state(raw, source)
 
     def shutdown(self, timeout_s: float = 10.0) -> None:
         """Graceful stop: shutdown op, ``bye`` reply, join."""
@@ -709,5 +626,3 @@ class WorkerHandle:
                 self.sock.close()
             except OSError:
                 pass
-            if self.ring is not None:
-                self.ring.close()

@@ -432,7 +432,6 @@ def process_run(tmp_path, seed, kill_at, victim=0, rotate_before_kill=False):
         shards=N_SHARDS,
         scope_factory=factory,
         monitor_interval_ms=HEARTBEAT_MS,
-        heartbeat_s=5.0,
         segment_samples=256,
     )
     killed = False

@@ -1,5 +1,8 @@
 """Unit tests for shard supervision: heartbeats, detection, restart."""
 
+import base64
+
+import numpy as np
 import pytest
 
 from repro.capture.format import CaptureFormatError
@@ -418,7 +421,6 @@ class TestStateFileFailsClosed:
             tmp_path,
             shards=1,
             scope_factory=factory,
-            heartbeat_s=5.0,
         ) as sup:
             sup.push_samples(SIGNALS[0], (0.0,), (1.0,))
             sup.snapshot_shard(0)
@@ -427,3 +429,40 @@ class TestStateFileFailsClosed:
             sup.kill_shard(0)
             with pytest.raises(WorkerDied, match="crashed: CaptureFormatError"):
                 sup.restart_shard(0)
+
+    @pytest.mark.distributed
+    def test_damaged_snapshot_reply_writes_nothing_and_keeps_the_wal(self, tmp_path):
+        """One flipped bit inside a pickled array would unpickle to a
+        wrong state; the reply must fail closed before the state file is
+        written or any WAL segment retired."""
+        loop = MainLoop()
+        marker = 1234.5625
+        with ProcessShardSupervisor(
+            loop, tmp_path, shards=1, scope_factory=factory, segment_samples=4
+        ) as sup:
+            for k in range(10):
+                loop.clock.wait_until(k * 10.0)
+                sup.push_samples(SIGNALS[0], (k * 10.0,), (marker if k == 9 else k,))
+            wal = sup.wal_root / "shard-00"
+            segments = sorted(wal.glob("*.gseg"))
+            assert segments
+            handle = sup.handle_of(0)
+            request = handle.request
+
+            def flip_inside_array(payload, reply_op, timeout_s):
+                reply = request(payload, reply_op, timeout_s)
+                raw = bytearray(base64.b64decode(reply["blob"]))
+                at = raw.find(np.float64(marker).tobytes())  # the buffered sample
+                assert at >= 0
+                raw[at] ^= 0x01
+                reply["blob"] = base64.b64encode(bytes(raw)).decode("ascii")
+                return reply
+
+            handle.request = flip_inside_array
+            try:
+                with pytest.raises(CaptureFormatError, match="snapshot reply"):
+                    sup.snapshot_shard(0)
+            finally:
+                del handle.request
+            assert not sup.state_path(0).exists()
+            assert sorted(wal.glob("*.gseg")) == segments

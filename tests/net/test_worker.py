@@ -1,10 +1,13 @@
-"""Unit tests for the process-worker plane: ring, handle, lifecycle."""
+"""Unit tests for the process-worker plane: handle, lifecycle, drain."""
+
+import base64
 
 import numpy as np
 import pytest
 
-from repro.core.signal import SignalSpec, SignalType, buffer_signal
-from repro.net import ProcessShardedScopeManager, ShmRing, WorkerDied, shard_of
+from repro.capture.format import CaptureFormatError
+from repro.core.signal import buffer_signal
+from repro.net import ProcessShardedScopeManager, WorkerDied, encode_control, shard_of
 from repro.net.worker import WorkerHandle
 
 SIGNALS = ["alpha", "beta", "gamma", "delta"]
@@ -33,65 +36,10 @@ def poisoned_factory(manager, shard_id):
     manager.push_samples = poisoned
 
 
-class TestShmRing:
-    def roundtrip(self, ring, name_id, now, n, seed):
-        rng = np.random.default_rng(seed)
-        t = rng.uniform(0, 1000, n)
-        v = rng.normal(size=n)
-        assert ring.try_push(name_id, now, t.tobytes(), v.tobytes())
-        got_id, got_now, got_t, got_v = ring.pop()
-        assert (got_id, got_now) == (name_id, now)
-        np.testing.assert_array_equal(got_t, t)
-        np.testing.assert_array_equal(got_v, v)
-
-    def test_roundtrip_and_wraparound(self):
-        ring = ShmRing.create(4096)
-        try:
-            # Many records through a small ring force the wrap marker
-            # path repeatedly; every record must come back intact.
-            for i in range(200):
-                self.roundtrip(ring, i % 7, float(i), 1 + i % 50, seed=i)
-        finally:
-            ring.close()
-
-    def test_full_ring_refuses_push(self):
-        ring = ShmRing.create(4096)
-        try:
-            t = np.zeros(60).tobytes()
-            pushed = 0
-            while ring.try_push(0, 0.0, t, t):
-                pushed += 1
-            assert 0 < pushed < 5  # bounded by capacity, not accepted forever
-            assert ring.fallbacks == 1
-            # Draining frees the space again (one pop may not be enough:
-            # a record that would straddle the end also burns the
-            # contiguous tail gap on a wrap marker).
-            for _ in range(pushed):
-                ring.pop()
-            assert ring.try_push(0, 0.0, t, t)
-        finally:
-            ring.close()
-
-    def test_attach_sees_producer_records(self):
-        producer = ShmRing.create(4096)
-        try:
-            consumer = ShmRing.attach(producer.name)
-            t = np.array([1.0, 2.0])
-            v = np.array([3.0, 4.0])
-            assert producer.try_push(9, 55.0, t.tobytes(), v.tobytes())
-            name_id, now, got_t, got_v = consumer.pop()
-            assert (name_id, now) == (9, 55.0)
-            np.testing.assert_array_equal(got_v, v)
-            consumer.shm.close()
-        finally:
-            ring = producer
-            ring.close()
-
-
 @pytest.mark.distributed
 class TestWorkerHandle:
     def test_lifecycle_deliver_stats_snapshot_shutdown(self):
-        handle = WorkerHandle(0, factory, heartbeat_s=5.0)
+        handle = WorkerHandle(0, factory)
         try:
             offered = handle.deliver(100.0, "alpha", [90.0, 95.0], [1.0, 2.0])
             assert offered == 2
@@ -104,8 +52,33 @@ class TestWorkerHandle:
             handle.close()
         assert handle.exitcode == 0  # graceful shutdown, not a kill
 
+    def test_every_damaged_snapshot_reply_fails_closed(self):
+        """A snapshot reply is checked like the state file it becomes:
+        every flipped byte and every truncation of one real reply raises
+        CaptureFormatError from snapshot_state, never a wrong state."""
+        handle = WorkerHandle(0, factory)
+        try:
+            handle.deliver(100.0, "alpha", [90.0, 95.0], [1.0, 2.0])
+            reply = handle.request(
+                {"op": "snapshot", "now": handle.last_now}, "snapshot", 30.0
+            )
+        finally:
+            handle.close()
+        raw = base64.b64decode(reply["blob"])
+        damaged = [raw[:n] for n in range(len(raw))]
+        for i in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[i] ^= 0xFF
+            damaged.append(bytes(flipped))
+        blobs = [base64.b64encode(case).decode("ascii") for case in damaged]
+        blobs += [reply["blob"][:-1], "not base64!", None]
+        for blob in blobs:
+            handle.request = lambda *_args, blob=blob: {"op": "snapshot", "blob": blob}
+            with pytest.raises(CaptureFormatError):
+                handle.snapshot_state()
+
     def test_kill_detected_and_requests_fail_fast(self):
-        handle = WorkerHandle(1, factory, heartbeat_s=5.0)
+        handle = WorkerHandle(1, factory)
         try:
             handle.kill()
             assert not handle.is_alive()
@@ -115,7 +88,7 @@ class TestWorkerHandle:
             handle.close()
 
     def test_child_crash_reported_not_wedged(self):
-        handle = WorkerHandle(0, poisoned_factory, heartbeat_s=5.0)
+        handle = WorkerHandle(0, poisoned_factory)
         try:
             handle.deliver(100.0, "poison", [90.0], [1.0])
             with pytest.raises(WorkerDied, match="crash"):
@@ -129,7 +102,7 @@ class TestWorkerHandle:
         """The child is dead before the next request: that request's
         send fails first, yet the caller still gets the crash reason
         (still unread in the socket), not a bare "died awaiting"."""
-        handle = WorkerHandle(0, poisoned_factory, heartbeat_s=5.0)
+        handle = WorkerHandle(0, poisoned_factory)
         try:
             handle.deliver(100.0, "poison", [90.0], [1.0])
             handle.flush()
@@ -151,7 +124,7 @@ class TestWorkerHandle:
                     raise BlockingIOError
                 return len(data) - 1
 
-        handle = WorkerHandle(0, factory, heartbeat_s=5.0)
+        handle = WorkerHandle(0, factory)
         real = handle.sock
         try:
             handle.sock = BackedUpSocket()
@@ -170,11 +143,8 @@ class TestWorkerHandle:
 
 @pytest.mark.distributed
 class TestProcessShardedScopeManager:
-    @pytest.mark.parametrize("use_shm", (False, True))
-    def test_routing_matches_in_process_ring_and_counts_settle(self, use_shm):
-        with ProcessShardedScopeManager(
-            shards=N, scope_factory=factory, use_shm=use_shm
-        ) as mgr:
+    def test_routing_matches_in_process_ring_and_counts_settle(self):
+        with ProcessShardedScopeManager(shards=N, scope_factory=factory) as mgr:
             for name in SIGNALS:
                 assert mgr.shard_of(name) == shard_of(name, N)
             rng = np.random.default_rng(3)
@@ -191,3 +161,17 @@ class TestProcessShardedScopeManager:
             assert totals["offered"] == offered
             assert totals["accepted"] + totals["dropped_late"] == offered
             assert totals["dropped_late"] > 0
+
+    def test_drain_shortfall_raises_after_one_stats_round_trip(self):
+        """The stats reply covers every delivery sent before it, so a
+        count that falls short is lost data: drain names both counts
+        after one request instead of polling until its deadline."""
+        with ProcessShardedScopeManager(shards=1, scope_factory=factory) as mgr:
+            mgr.push_samples("alpha", [0.0], [1.0])
+            handle = mgr.handle_of(0)
+            handle.flush()
+            handle.samples_sent += 1  # one sample the worker never saw
+            sent = handle.bytes_sent
+            with pytest.raises(WorkerDied, match="ingested 1 samples, 2 were sent"):
+                mgr.drain(timeout_s=5.0)
+            assert handle.bytes_sent - sent == len(encode_control({"op": "stats"}))
