@@ -27,8 +27,20 @@ by more than the parent's interquartile range, and its failed share is
 no higher.
 
 Exit status 1 when any run is not correct, any metric is WORSE, or the
-change fails a larger share of operations than the parent.  Only the
-standard library is used.
+change fails a larger share of operations than the parent.
+
+``--counts`` instead runs ``perfbench/run.py --trace 1`` once per side::
+
+    python3 benchmarks/ab.py PARENT_DIR CHANGE_DIR --workload dashboard \\
+        --seconds 4 --seed 101 --counts
+
+It compares every per-layer metric of ``BENCHMARK.json`` whose unit is
+``count``, ``bytes`` or ``B/sample`` for exact equality and prints each
+difference with both values.  Every ``busy_ms``, ``wait_ms`` and
+``unattributed.ms`` metric is printed side by side with the
+change/parent ratio, for information only: traced timings are not
+scaled to reference speed.  Exit status 1 when a count differs or a run
+is not correct.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -46,6 +58,8 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 #: Real seconds one perfbench run may take on top of ``--seconds``.
 RUN_GRACE_S = 600.0
 SIDES = ("parent", "change")
+#: Per-layer units that identical work must reproduce exactly.
+EXACT_UNITS = ("count", "bytes", "B/sample")
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -59,6 +73,12 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
 def better(a: float, b: float, higher: bool) -> bool:
     """Whether ``a`` reads strictly better than ``b``."""
     return a > b if higher else a < b
+
+
+def value(run: dict, name: str) -> Optional[float]:
+    """The run's value of metric ``name``, or None when it lacks it."""
+    metric = run.get("metrics", {}).get(name)
+    return None if metric is None else float(metric["value"])
 
 
 def failed_share(runs: Sequence[dict]) -> float:
@@ -76,12 +96,8 @@ def judge(spec: dict, pairs: Sequence[Tuple[dict, dict]]) -> dict:
     name, bound = spec["name"], float(spec["bound"])
     higher = spec["better"] == "higher"
 
-    def value(run: dict) -> Optional[float]:
-        metric = run.get("metrics", {}).get(name)
-        return None if metric is None else float(metric["value"])
-
-    parent = [v for v in (value(p) for p, _ in pairs) if v is not None]
-    change = [v for v in (value(c) for _, c in pairs) if v is not None]
+    parent = [v for v in (value(p, name) for p, _ in pairs) if v is not None]
+    change = [v for v in (value(c, name) for _, c in pairs) if v is not None]
     out = {"name": name, "unit": spec["unit"], "bound": bound, "pairs": len(pairs)}
     if not parent or not change:
         out["verdict"] = "missing"
@@ -90,7 +106,7 @@ def judge(spec: dict, pairs: Sequence[Tuple[dict, dict]]) -> dict:
     c1, cm, c3 = quartiles(change)
     wins = 0
     for p, c in pairs:
-        pv, cv = value(p), value(c)
+        pv, cv = value(p, name), value(c, name)
         if pv is not None and cv is not None and better(cv, pv, higher):
             wins += 1
     worse_by = (pm - cm if higher else cm - pm) / abs(pm) if pm else 0.0
@@ -136,13 +152,50 @@ def verdict(specs: Sequence[dict], pairs: Sequence[Tuple[dict, dict]], claim: Op
     return rows, claim_holds, 1 if bad else 0
 
 
-def run_once(checkout: Path, command: List[str], args) -> dict:
-    """One untraced perfbench run in ``checkout``; its last JSON line."""
+def counts(specs: Sequence[dict], parent: dict, change: dict):
+    """Compare one traced run per side on the per-layer metrics.
+
+    Returns ``(differences, timings, status)``: each exact-unit metric
+    whose values differ as ``(name, parent, change)`` (``None`` where a
+    side lacks it), each ``busy_ms``, ``wait_ms`` and ``unattributed.ms``
+    metric as ``(name, parent, change, change/parent)``, and the exit
+    status: 1 when a count differs or a run is not correct.
+    """
+    differences, timings = [], []
+    for spec in specs:
+        name = spec["name"]
+        p, c = value(parent, name), value(change, name)
+        if spec["unit"] in EXACT_UNITS:
+            if p != c:
+                differences.append((name, p, c))
+        elif name.endswith(("busy_ms", "wait_ms")) or name == "unattributed.ms":
+            ratio = c / p if p and c is not None else float("nan")
+            timings.append((name, p, c, ratio))
+    bad = differences or not (parent["correct"] and change["correct"])
+    return differences, timings, 1 if bad else 0
+
+
+def report_counts(specs, parent: dict, change: dict, differences, timings) -> None:
+    exact = [spec for spec in specs if spec["unit"] in EXACT_UNITS]
+    print(f"parent  correct {parent['correct']}  change  correct {change['correct']}")
+    print(f"exact metrics ({', '.join(EXACT_UNITS)}): {len(exact)} compared, "
+          f"{len(differences)} differ")
+    for name, p, c in differences:
+        print(f"  DIFFERS {name:40s} parent {p}  change {c}")
+    print("timings (informational: traced, not scaled to reference speed):")
+    print(f"  {'metric':32s} {'parent':>12s} {'change':>12s} {'ratio':>7s}")
+    for name, p, c, ratio in timings:
+        cells = ["-" if x is None else f"{x:.4g}" for x in (p, c)]
+        print(f"  {name:32s} {cells[0]:>12s} {cells[1]:>12s} {ratio:7.3f}")
+
+
+def run_once(checkout: Path, command: List[str], args, trace: int = 0) -> dict:
+    """One perfbench run in ``checkout``; its last JSON line."""
     cmd = command + [
         "--workload", args.workload,
         "--seed", str(args.seed),
         "--seconds", str(args.seconds),
-        "--trace", "0",
+        "--trace", str(trace),
     ]
     proc = subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     out = ""
@@ -212,8 +265,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--claim")
+    parser.add_argument("--counts", action="store_true")
     args = parser.parse_args(argv)
     bench = json.loads(BENCHMARK.read_text())
+    if args.counts:
+        if args.claim is not None:
+            parser.error("--claim compares untraced pairs; it does not go with --counts")
+        parent, change = (
+            run_once(getattr(args, side), bench["command"], args, 1) for side in SIDES
+        )
+        differences, timings, status = counts(bench["per_layer"], parent, change)
+        print(f"workload {args.workload}  traced  seconds {args.seconds}  seed {args.seed}")
+        report_counts(bench["per_layer"], parent, change, differences, timings)
+        return status
     specs = bench["end_to_end"]
     if args.claim is not None and args.claim not in {s["name"] for s in specs}:
         parser.error(f"--claim must name an end-to-end metric: {args.claim}")

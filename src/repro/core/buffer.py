@@ -19,22 +19,31 @@ Two rules from the paper govern the buffer:
 Columnar layout
 ---------------
 
-The buffer is a struct-of-arrays store, not a heap of objects: parallel
-``float64`` columns for time and value, an ``int64`` sequence column (the
-push-order tie-break) and an interned name-id column.  The active region
-``[head, tail)`` of the columns is split into a sorted run
-``[head, sorted_end)`` (ordered by ``(time, seq)``) and an unsorted
-append tail ``[sorted_end, tail)``.  Producers that push in time order —
-the overwhelmingly common case — extend the sorted run directly, so both
-:meth:`SampleBuffer.push_many` and :meth:`SampleBuffer.pop_due_arrays`
-are O(1) amortised per sample with no per-sample Python objects.
-Out-of-order arrivals land in the append tail and are merged with one
-vectorised ``lexsort`` at the next pop/peek/evict.
+The buffer is a struct-of-arrays store, not a heap of objects: one *run*
+per signal, each the window ``[head, tail)`` of three columns — ``float64``
+time and value and an ``int64`` sequence number (the buffer-wide
+push-order tie-break).  A run is kept in ``(time, seq)`` order.  Producers
+push each signal in time order — the overwhelmingly common case, even
+when signals interleave — so a push that starts at or after its run's
+last time and is itself non-decreasing just appends.  Any other push
+marks the run unordered, and that run alone is re-sorted (stably by time:
+within a run, unsorted samples have seqs growing with position) at its
+next pop.  Nothing sorts the buffer as a whole.
 
-The scalar :meth:`push` / :meth:`pop_due` API is a thin wrapper over the
-bulk path and preserves the seed semantics exactly: the same late-drop
-comparison (``now > time + delay``), the same oldest-first capacity
-eviction, and the same ``(time, seq)`` pop order.
+A poll visits only the runs holding samples, finds each one's due prefix
+with one ``searchsorted`` and copies it out: :meth:`SampleBuffer.pop_due_runs`
+and :meth:`SampleBuffer.pop_due_grouped` return those runs as they are,
+ordered by each signal's first ``(time, seq)``.  The APIs that promise one
+buffer-wide ``(time, seq)`` order — :meth:`~SampleBuffer.pop_due`,
+:meth:`~SampleBuffer.pop_due_arrays`, :meth:`~SampleBuffer.pop_due_by_name`,
+:meth:`~SampleBuffer.peek_next`, capacity eviction and
+:meth:`~SampleBuffer.state_dict` — merge across runs, over only the samples
+they return; with one signal involved they neither merge nor sort.
+
+The scalar :meth:`push` / :meth:`pop_due` API preserves the seed
+semantics exactly: the same late-drop comparison (``now > time + delay``),
+the same oldest-first capacity eviction, and the same ``(time, seq)`` pop
+order.
 """
 
 from __future__ import annotations
@@ -74,6 +83,82 @@ class BufferStats:
         return self.pushed - self.dropped_late - self.evicted - self.popped
 
 
+class _Run:
+    """One signal's buffered samples: ``[head, tail)`` of three columns,
+    in ``(time, seq)`` order while ``ordered`` holds."""
+
+    __slots__ = (
+        "name", "name_id", "times", "values", "seqs", "head", "tail", "ordered"
+    )
+
+    def __init__(self, name: str, name_id: int) -> None:
+        self.name, self.name_id = name, name_id
+        self.times = np.empty(_MIN_ALLOC, dtype=np.float64)
+        self.values = np.empty(_MIN_ALLOC, dtype=np.float64)
+        self.seqs = np.empty(_MIN_ALLOC, dtype=np.int64)
+        self.head = self.tail = 0
+        self.ordered = True
+
+    def room(self, n: int) -> int:
+        """Make room for ``n`` appends, compacting or growing; return the tail."""
+        alloc = self.times.shape[0]
+        if self.tail + n > alloc:
+            active = self.tail - self.head
+            old = (self.times, self.values, self.seqs)
+            new = old
+            if active + n > alloc or self.head < alloc // 2:
+                size = max(2 * alloc, active + n)
+                new = tuple(np.empty(size, dtype=col.dtype) for col in old)
+            for dst, src in zip(new, old):
+                dst[:active] = src[self.head : self.tail]
+            self.times, self.values, self.seqs = new
+            self.head, self.tail = 0, active
+        return self.tail
+
+    def put(self, time_ms: float, value: float, seq: int) -> None:
+        """Append one sample."""
+        i = self.room(1)
+        if self.ordered and i > self.head and not self.times[i - 1] <= time_ms:
+            self.ordered = False
+        self.times[i], self.values[i], self.seqs[i] = time_ms, value, seq
+        self.tail = i + 1
+
+    def append(self, times: np.ndarray, values: np.ndarray, seq: int) -> None:
+        """Append a block, numbered from ``seq``."""
+        n = times.shape[0]
+        i = self.room(n)
+        if self.ordered and not (
+            (i == self.head or self.times[i - 1] <= times[0])
+            and (n == 1 or bool((times[1:] >= times[:-1]).all()))
+        ):
+            self.ordered = False
+        self.times[i : i + n] = times
+        self.values[i : i + n] = values
+        self.seqs[i : i + n] = np.arange(seq, seq + n, dtype=np.int64)
+        self.tail = i + n
+
+    def sort(self) -> None:
+        """Restore ``(time, seq)`` order if a push broke it."""
+        if not self.ordered:
+            sl = slice(self.head, self.tail)
+            order = np.argsort(self.times[sl], kind="stable") + self.head
+            for col in (self.times, self.values, self.seqs):
+                col[sl] = col[order]
+            self.ordered = True
+
+    def due(self, now_ms: float, delay_ms: float) -> int:
+        """How many leading samples are due at ``now_ms``."""
+        self.sort()
+        # Same float comparison as the scalar rule: time + delay <= now.
+        # The run is sorted, so its ends settle the none- and all-due cases.
+        if self.times[self.head] + delay_ms > now_ms:
+            return 0
+        if self.times[self.tail - 1] + delay_ms <= now_ms:
+            return self.tail - self.head
+        active = self.times[self.head : self.tail]
+        return int(np.searchsorted(active + delay_ms, now_ms, side="right"))
+
+
 class SampleBuffer:
     """Columnar sample store with delay/late-drop semantics.
 
@@ -95,108 +180,72 @@ class SampleBuffer:
             raise ValueError(f"capacity must be positive: {capacity}")
         self.delay_ms = float(delay_ms)
         self.capacity = capacity
-        alloc = _MIN_ALLOC if capacity is None else min(max(capacity, _MIN_ALLOC), 4096)
-        self._times = np.empty(alloc, dtype=np.float64)
-        self._values = np.empty(alloc, dtype=np.float64)
-        self._seqs = np.empty(alloc, dtype=np.int64)
-        self._ids = np.empty(alloc, dtype=np.int64)
-        self._head = 0  # start of the active region
-        self._sorted_end = 0  # [head, sorted_end) is sorted by (time, seq)
-        self._tail = 0  # end of the active region
         self._next_seq = 0
-        self._id_of_name: Dict[str, int] = {}
         self._name_of_id: List[str] = []
-        self._count_of_id = np.zeros(0, dtype=np.int64)  # buffered per name
+        self._runs: Dict[str, _Run] = {}  # every signal ever pushed
+        self._live: Dict[str, _Run] = {}  # the runs holding samples
         self.stats = BufferStats()
 
     def __len__(self) -> int:
-        return self._tail - self._head
+        return sum(run.tail - run.head for run in self._live.values())
 
     # ------------------------------------------------------------------
-    # Column plumbing
+    # Run plumbing
     # ------------------------------------------------------------------
-    def _intern(self, name: str) -> int:
-        """Map a signal name to its stable small-integer id."""
-        name_id = self._id_of_name.get(name)
-        if name_id is None:
-            name_id = len(self._name_of_id)
-            self._id_of_name[name] = name_id
-            self._name_of_id.append(name)
-            self._count_of_id = np.append(self._count_of_id, 0)
-        return name_id
+    def _run(self, name: str) -> _Run:
+        """``name``'s run, registered as holding samples."""
+        run = self._live.get(name)
+        if run is None:
+            run = self._runs.get(name)
+            if run is None:
+                run = self._runs[name] = _Run(name, len(self._name_of_id))
+                self._name_of_id.append(name)
+            self._live[name] = run
+        return run
 
-    def _ensure_tail_room(self, n: int) -> None:
-        """Make room for ``n`` appends, compacting or growing the columns."""
-        alloc = self._times.shape[0]
-        if self._tail + n <= alloc:
-            return
-        active = self._tail - self._head
-        if active + n <= alloc and self._head >= alloc // 2:
-            new_times, new_values = self._times, self._values
-            new_seqs, new_ids = self._seqs, self._ids
-        else:
-            new_alloc = max(2 * alloc, active + n, _MIN_ALLOC)
-            new_times = np.empty(new_alloc, dtype=np.float64)
-            new_values = np.empty(new_alloc, dtype=np.float64)
-            new_seqs = np.empty(new_alloc, dtype=np.int64)
-            new_ids = np.empty(new_alloc, dtype=np.int64)
-        sl = slice(self._head, self._tail)
-        new_times[:active] = self._times[sl]
-        new_values[:active] = self._values[sl]
-        new_seqs[:active] = self._seqs[sl]
-        new_ids[:active] = self._ids[sl]
-        self._times, self._values = new_times, new_values
-        self._seqs, self._ids = new_seqs, new_ids
-        self._sorted_end -= self._head
-        self._head, self._tail = 0, active
+    def _take(self, run: _Run, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Remove ``run``'s first ``n`` samples; copies of their columns."""
+        sl = slice(run.head, run.head + n)
+        out = run.times[sl].copy(), run.values[sl].copy(), run.seqs[sl].copy()
+        run.head += n
+        if run.head == run.tail:
+            run.head = run.tail = 0
+            del self._live[run.name]
+        return out
 
-    def _consolidate(self) -> None:
-        """Merge the unsorted append tail into the sorted run."""
-        if self._sorted_end == self._tail:
-            return
-        sl = slice(self._head, self._tail)
-        order = np.lexsort((self._seqs[sl], self._times[sl])) + self._head
-        self._times[sl] = self._times[order]
-        self._values[sl] = self._values[order]
-        self._seqs[sl] = self._seqs[order]
-        self._ids[sl] = self._ids[order]
-        self._sorted_end = self._tail
+    def _oldest(self) -> _Run:
+        """The run holding the globally earliest ``(time, seq)`` sample."""
+        runs = list(self._live.values())
+        for run in runs:
+            run.sort()
+        if len(runs) == 1:
+            return runs[0]
+        first = np.lexsort(
+            ([r.seqs[r.head] for r in runs], [r.times[r.head] for r in runs])
+        )[0]
+        return runs[first]
+
+    def _merge(self, parts: List[Tuple[_Run, np.ndarray, np.ndarray, np.ndarray]]):
+        """``(times, values, seqs, name_ids)`` of per-run columns, merged
+        into ``(time, seq)`` order."""
+        if len(parts) == 1:
+            run, times, values, seqs = parts[0]
+            return times, values, seqs, np.full(times.shape[0], run.name_id, np.int64)
+        if not parts:
+            empty = np.empty(0, dtype=np.int64)
+            return np.empty(0), np.empty(0), empty, empty.copy()
+        times, values, seqs = (np.concatenate([p[k] for p in parts]) for k in (1, 2, 3))
+        ids = np.repeat(
+            np.array([p[0].name_id for p in parts], dtype=np.int64),
+            [p[1].shape[0] for p in parts],
+        )
+        order = np.lexsort((seqs, times))
+        return times[order], values[order], seqs[order], ids[order]
 
     def _evict_oldest(self) -> None:
         """Drop the globally oldest ``(time, seq)`` buffered sample."""
-        self._consolidate()
-        self._count_of_id[self._ids[self._head]] -= 1
-        self._head += 1
-        self._sorted_end = max(self._sorted_end, self._head)
+        self._take(self._oldest(), 1)
         self.stats.evicted += 1
-
-    def _append_block(
-        self, name_id: int, times: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Append already-accepted samples as one columnar block."""
-        n = times.shape[0]
-        if n == 0:
-            return
-        self._ensure_tail_room(n)
-        start, end = self._tail, self._tail + n
-        self._times[start:end] = times
-        self._values[start:end] = values
-        self._seqs[start:end] = np.arange(
-            self._next_seq, self._next_seq + n, dtype=np.int64
-        )
-        self._ids[start:end] = name_id
-        self._next_seq += n
-        self._count_of_id[name_id] += n
-        # A time-ordered block appended after the sorted run keeps the
-        # whole active region sorted — the common fast path.
-        in_order = n == 1 or bool(np.all(times[1:] >= times[:-1]))
-        if (
-            in_order
-            and self._sorted_end == self._tail
-            and (self._head == self._tail or self._times[self._tail - 1] <= times[0])
-        ):
-            self._sorted_end = end
-        self._tail = end
 
     # ------------------------------------------------------------------
     # Push (scalar + bulk)
@@ -215,20 +264,8 @@ class SampleBuffer:
             return False
         if self.capacity is not None and len(self) >= self.capacity:
             self._evict_oldest()
-        name_id = self._intern(name)
-        self._ensure_tail_room(1)
-        i = self._tail
-        self._times[i] = time_ms
-        self._values[i] = float(value)
-        self._seqs[i] = self._next_seq
-        self._ids[i] = name_id
+        self._run(name).put(time_ms, float(value), self._next_seq)
         self._next_seq += 1
-        self._count_of_id[name_id] += 1
-        if self._sorted_end == i and (
-            self._head == i or self._times[i - 1] <= time_ms
-        ):
-            self._sorted_end = i + 1
-        self._tail = i + 1
         return True
 
     def push_many(
@@ -238,7 +275,7 @@ class SampleBuffer:
 
         Semantically identical to calling :meth:`push` per sample (same
         late-drop rule, same eviction order), but the accepted samples are
-        appended to the columns as one vectorised block.
+        appended to the signal's run as one vectorised block.
         """
         t = np.ascontiguousarray(times, dtype=np.float64)
         v = np.ascontiguousarray(values, dtype=np.float64)
@@ -250,45 +287,69 @@ class SampleBuffer:
         self.stats.pushed += n
         if n == 0:
             return 0
-        # Same predicate as the scalar rule `not (now > t + delay)` —
-        # the negated form keeps NaN timestamps on the accept side,
-        # exactly as the scalar comparison does.
-        keep = ~(t + self.delay_ms < now_ms)
-        dropped = n - int(np.count_nonzero(keep))
+        # Same predicate as the scalar rule `now > t + delay`: a NaN
+        # timestamp compares False, so it is accepted on both paths.
+        late = t + self.delay_ms < now_ms
+        dropped = int(np.count_nonzero(late))
         self.stats.dropped_late += dropped
         accepted = n - dropped
         if accepted == 0:
             return 0
         if dropped:
-            t, v = t[keep], v[keep]
+            t, v = t[~late], v[~late]
         if self.capacity is not None and len(self) + accepted > self.capacity:
             # Rare bounded-buffer overflow: replay the per-sample
             # evict-then-insert discipline so eviction order matches the
             # scalar path exactly (a pushed sample can itself be evicted
             # by a later sample in the same batch).
-            name_id = self._intern(name)
-            one_t = np.empty(1, dtype=np.float64)
-            one_v = np.empty(1, dtype=np.float64)
             for i in range(accepted):
                 if len(self) >= self.capacity:
                     self._evict_oldest()
-                one_t[0], one_v[0] = t[i], v[i]
-                self._append_block(name_id, one_t.copy(), one_v.copy())
+                self._run(name).put(float(t[i]), float(v[i]), self._next_seq)
+                self._next_seq += 1
             return accepted
-        self._append_block(self._intern(name), t, v)
+        self._run(name).append(t, v, self._next_seq)
+        self._next_seq += accepted
         return accepted
 
     # ------------------------------------------------------------------
-    # Pop (bulk + scalar wrappers)
+    # Pop (per-signal runs + merged wrappers)
     # ------------------------------------------------------------------
-    def _due_count(self, now_ms: float) -> int:
-        """Consolidate and count leading samples due at ``now_ms``."""
-        self._consolidate()
-        active = self._times[self._head : self._tail]
-        if active.shape[0] == 0:
-            return 0
-        # Same float comparison as the scalar rule: time + delay <= now.
-        return int(np.searchsorted(active + self.delay_ms, now_ms, side="right"))
+    def _pop_runs(
+        self, now_ms: float
+    ) -> List[Tuple[_Run, np.ndarray, np.ndarray, np.ndarray]]:
+        """Remove every run's due prefix: ``(run, times, values, seqs)``."""
+        out = []
+        for run in list(self._live.values()):
+            n = run.due(now_ms, self.delay_ms)
+            if n:
+                out.append((run, *self._take(run, n)))
+                self.stats.popped += n
+        return out
+
+    def pop_due_runs(
+        self, now_ms: float
+    ) -> List[Tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
+        """Remove all due samples as one ``(name, times, values, seqs)``
+        run per signal.
+
+        Each run's columns are in ``(time, seq)`` order; runs follow each
+        name's first occurrence in the ``(time, seq)``-ordered popped
+        stream.  The arrays are private copies.
+        """
+        runs = [(run.name, t, v, s) for run, t, v, s in self._pop_runs(now_ms)]
+        runs.sort(key=lambda r: (float(r[1][0]), int(r[3][0])))
+        return runs
+
+    def pop_due_grouped(
+        self, now_ms: float
+    ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+        """Bulk drain grouped per signal: name → ``(times, values)`` arrays.
+
+        Group order follows each name's first occurrence in the popped
+        stream; within a group, samples keep ``(time, seq)`` order.
+        """
+        return {name: (t, v) for name, t, v, _ in self.pop_due_runs(now_ms)}
 
     def pop_due_arrays(
         self, now_ms: float
@@ -299,41 +360,8 @@ class SampleBuffer:
         paints.  The returned arrays are private copies and stay valid
         across later pushes.
         """
-        n = self._due_count(now_ms)
-        if n == 0:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty.copy(), np.empty(0, dtype=np.int64)
-        sl = slice(self._head, self._head + n)
-        times = self._times[sl].copy()
-        values = self._values[sl].copy()
-        ids = self._ids[sl].copy()
-        self._count_of_id -= np.bincount(ids, minlength=self._count_of_id.shape[0])
-        self._head += n
-        self._sorted_end = max(self._sorted_end, self._head)
-        self.stats.popped += n
+        times, values, _, ids = self._merge(self._pop_runs(now_ms))
         return times, values, ids
-
-    def pop_due_grouped(
-        self, now_ms: float
-    ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        """Bulk drain grouped per signal: name → ``(times, values)`` arrays.
-
-        Group order follows each name's first occurrence in the popped
-        stream; within a group, samples keep ``(time, seq)`` order.
-        """
-        times, values, ids = self.pop_due_arrays(now_ms)
-        if times.shape[0] == 0:
-            return {}
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        bounds = np.flatnonzero(np.diff(sorted_ids)) + 1
-        groups = np.split(order, bounds)
-        groups.sort(key=lambda g: g[0])  # first-occurrence order
-        out: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for g in groups:
-            name = self._name_of_id[int(ids[g[0]])]
-            out[name] = (times[g], values[g])
-        return out
 
     def pop_due(self, now_ms: float) -> List[Sample]:
         """Remove and return all samples displayable at ``now_ms``.
@@ -341,29 +369,16 @@ class SampleBuffer:
         A sample is due when ``time_ms + delay_ms <= now_ms``.  Samples
         come back in timestamp order (push order breaks ties), which is
         the order the scope paints them.  This is the object-per-sample
-        compatibility wrapper; hot consumers use :meth:`pop_due_arrays`.
+        compatibility wrapper; hot consumers use :meth:`pop_due_runs`.
         """
-        n = self._due_count(now_ms)
-        if n == 0:
-            return []
-        sl = slice(self._head, self._head + n)
+        times, values, seqs, ids = self._merge(self._pop_runs(now_ms))
         name_of_id = self._name_of_id
-        due = [
+        return [
             Sample(time_ms=t, seq=s, name=name_of_id[i], value=v)
             for t, s, i, v in zip(
-                self._times[sl].tolist(),
-                self._seqs[sl].tolist(),
-                self._ids[sl].tolist(),
-                self._values[sl].tolist(),
+                times.tolist(), seqs.tolist(), ids.tolist(), values.tolist()
             )
         ]
-        self._count_of_id -= np.bincount(
-            self._ids[sl], minlength=self._count_of_id.shape[0]
-        )
-        self._head += n
-        self._sorted_end = max(self._sorted_end, self._head)
-        self.stats.popped += n
-        return due
 
     def pop_due_by_name(self, now_ms: float) -> Dict[str, List[Sample]]:
         """Like :meth:`pop_due` but grouped per signal name."""
@@ -377,22 +392,24 @@ class SampleBuffer:
     # ------------------------------------------------------------------
     def peek_next(self) -> Optional[Sample]:
         """The earliest buffered sample, without removing it."""
-        if len(self) == 0:
+        if not self._live:
             return None
-        self._consolidate()
-        i = self._head
+        run = self._oldest()
+        i = run.head
         return Sample(
-            time_ms=float(self._times[i]),
-            seq=int(self._seqs[i]),
-            name=self._name_of_id[int(self._ids[i])],
-            value=float(self._values[i]),
+            time_ms=float(run.times[i]),
+            seq=int(run.seqs[i]),
+            name=run.name,
+            value=float(run.values[i]),
         )
 
     def clear(self) -> int:
         """Drop everything buffered; return how many samples were dropped."""
         n = len(self)
-        self._head = self._sorted_end = self._tail = 0
-        self._count_of_id[:] = 0
+        for run in self._live.values():
+            run.head = run.tail = 0
+            run.ordered = True
+        self._live.clear()
         self.stats.evicted += n
         return n
 
@@ -403,18 +420,8 @@ class SampleBuffer:
         self.delay_ms = float(delay_ms)
 
     def names(self) -> Tuple[str, ...]:
-        """Names of signals currently holding buffered samples.
-
-        O(#names): maintained incrementally from per-name counts rather
-        than by scanning the buffered samples.
-        """
-        return tuple(
-            sorted(
-                name
-                for name, name_id in self._id_of_name.items()
-                if self._count_of_id[name_id] > 0
-            )
-        )
+        """Names of signals currently holding buffered samples."""
+        return tuple(sorted(self._live))
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -422,22 +429,27 @@ class SampleBuffer:
     def state_dict(self) -> Dict[str, object]:
         """Capture the buffer's observable state as plain data.
 
-        Everything that shapes future behaviour is included: the active
-        region's columns (with the sorted/unsorted split preserved), the
-        sequence counter, the name intern table and the stats ledger.
-        Allocation details (column capacity, head offset) are not state —
-        a restored buffer re-packs the active region at offset 0, which
-        yields the same pops, evictions and late-drops forever after.
+        Everything that shapes future behaviour is included: every
+        buffered sample as ``(time, seq)``-ordered columns (so
+        ``sorted_len`` is their count), the sequence counter, the name
+        intern table and the stats ledger.  Allocation details are not
+        state — a restore yields the same pops, evictions and late-drops
+        forever after.
         """
-        sl = slice(self._head, self._tail)
+        parts = []
+        for run in self._live.values():
+            run.sort()
+            sl = slice(run.head, run.tail)
+            parts.append((run, run.times[sl], run.values[sl], run.seqs[sl]))
+        times, values, seqs, ids = self._merge(parts)
         return {
             "delay_ms": self.delay_ms,
             "capacity": self.capacity,
-            "times": self._times[sl].copy(),
-            "values": self._values[sl].copy(),
-            "seqs": self._seqs[sl].copy(),
-            "ids": self._ids[sl].copy(),
-            "sorted_len": self._sorted_end - self._head,
+            "times": times.copy(),
+            "values": values.copy(),
+            "seqs": seqs.copy(),
+            "ids": ids,
+            "sorted_len": int(times.shape[0]),
             "next_seq": self._next_seq,
             "names": list(self._name_of_id),
             "stats": {
@@ -449,29 +461,30 @@ class SampleBuffer:
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state_dict` capture, replacing current contents."""
-        times = np.asarray(state["times"], dtype=np.float64)
-        n = times.shape[0]
-        alloc = max(n, _MIN_ALLOC)
+        """Restore a :meth:`state_dict` capture, replacing current contents.
+
+        Columns ordered only up to ``sorted_len`` (the rest in push order)
+        are accepted too: they are split into runs and sorted here.
+        """
         self.delay_ms = float(state["delay_ms"])  # type: ignore[arg-type]
         self.capacity = state["capacity"]  # type: ignore[assignment]
-        self._times = np.empty(alloc, dtype=np.float64)
-        self._values = np.empty(alloc, dtype=np.float64)
-        self._seqs = np.empty(alloc, dtype=np.int64)
-        self._ids = np.empty(alloc, dtype=np.int64)
-        self._times[:n] = times
-        self._values[:n] = np.asarray(state["values"], dtype=np.float64)
-        self._seqs[:n] = np.asarray(state["seqs"], dtype=np.int64)
-        self._ids[:n] = np.asarray(state["ids"], dtype=np.int64)
-        self._head = 0
-        self._sorted_end = int(state["sorted_len"])  # type: ignore[arg-type]
-        self._tail = n
         self._next_seq = int(state["next_seq"])  # type: ignore[arg-type]
         names = list(state["names"])  # type: ignore[arg-type]
         self._name_of_id = names
-        self._id_of_name = {name: i for i, name in enumerate(names)}
-        self._count_of_id = np.bincount(
-            self._ids[:n], minlength=len(names)
-        ).astype(np.int64)
+        self._runs = {name: _Run(name, i) for i, name in enumerate(names)}
+        self._live = {}
+        times = np.asarray(state["times"], dtype=np.float64)
+        values = np.asarray(state["values"], dtype=np.float64)
+        seqs = np.asarray(state["seqs"], dtype=np.int64)
+        ids = np.asarray(state["ids"], dtype=np.int64)
+        # One sort groups the samples by signal, each in (time, seq) order.
+        order = np.lexsort((seqs, times, ids))
+        bounds = np.searchsorted(ids[order], np.arange(len(names) + 1))
+        for name_id, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if hi > lo:
+                run = self._run(names[name_id])
+                sel = order[lo:hi]
+                run.times, run.values, run.seqs = times[sel], values[sel], seqs[sel]
+                run.head, run.tail = 0, int(hi - lo)
         stats = dict(state["stats"])  # type: ignore[arg-type]
         self.stats = BufferStats(**stats)

@@ -321,8 +321,8 @@ class Scope:
         self.column += 1 + lost
 
         painted: List[tuple[str, TracePoint]] = []
-        # Buffer drains arrive as columnar batches: (name, times, raws).
-        batches: List[tuple[str, np.ndarray, np.ndarray]] = []
+        # Buffer drains arrive as columnar runs: (name, times, raws, seqs).
+        batches: List[tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
         if self.mode is AcquisitionMode.POLLING:
             for channel in self._channels.values():
                 if channel.buffered:
@@ -330,12 +330,12 @@ class Scope:
                 point = channel.poll(now, self.period_ms)
                 if point is not None:
                     painted.append((channel.name, point))
-            for name, (times, values) in self.buffer.pop_due_grouped(now).items():
+            for name, times, values, seqs in self.buffer.pop_due_runs(now):
                 channel = self._channels.get(name)
                 if channel is None:
                     continue  # signal was removed while data was in flight
                 t, raws, _filtered = channel.accept_samples(times, values)
-                batches.append((name, t, raws))
+                batches.append((name, t, raws, seqs))
         else:
             assert self.player is not None
             self._playback_time += (1 + lost) * self.period_ms
@@ -348,19 +348,19 @@ class Scope:
                 )
 
         if self.recorder is not None and (painted or batches):
-            # Raw (unfiltered) data is recorded so replay can re-filter.
-            rec_times: List[float] = [p.time_ms for _, p in painted]
-            rec_raws: List[float] = [p.raw for _, p in painted]
-            rec_names: List[str] = [name for name, _ in painted]
-            for name, t, raws in batches:
-                rec_times.extend(t.tolist())
-                rec_raws.extend(raws.tolist())
-                rec_names.extend([name] * t.shape[0])
-            order = np.argsort(np.asarray(rec_times), kind="stable")
+            # Raw (unfiltered) data is recorded so replay can re-filter, in
+            # (time, seq) order.  Polled points take negative seqs: they go
+            # first among equal times, in channel order.
+            runs = [
+                (name, [p.time_ms], [p.raw], [i - len(painted)])
+                for i, (name, p) in enumerate(painted)
+            ] + batches
+            names, times, raws, seqs = zip(*runs)
+            labels = np.repeat(np.array(names, dtype=object), [len(t) for t in times])
+            times, raws = np.concatenate(times), np.concatenate(raws)
+            order = np.lexsort((np.concatenate(seqs), times))
             self.recorder.record_many(
-                [rec_times[i] for i in order],
-                [rec_raws[i] for i in order],
-                [rec_names[i] for i in order],
+                times[order].tolist(), raws[order].tolist(), labels[order].tolist()
             )
         return True
 

@@ -1,7 +1,13 @@
 """Tests for the scope-wide sample buffer (delay + late-drop rules)."""
 
+import heapq
+import itertools
+import random
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from test_columnar_equivalence import HeapModel
 
 from repro.core.buffer import SampleBuffer
 
@@ -174,3 +180,227 @@ class TestProperties:
         assert all(t <= pop_at for t in popped_times)
         remaining = buf.pop_due(1e9)
         assert all(s.time_ms > pop_at for s in remaining)
+
+
+# ----------------------------------------------------------------------
+# Per-signal runs: no buffer-wide sort, and the oracle's order kept
+# ----------------------------------------------------------------------
+@pytest.fixture
+def sort_calls(monkeypatch):
+    """Names of the numpy sort functions called while the test runs."""
+    calls = []
+    for fn in ("lexsort", "argsort", "sort"):
+        real = getattr(np, fn)
+
+        def counted(*args, _real=real, _fn=fn, **kwargs):
+            calls.append(_fn)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, fn, counted)
+    return calls
+
+
+def model_runs(popped):
+    """HeapModel pops as ``{name: [(time, value), ...]}``, keyed in
+    first-occurrence order."""
+    runs = {}
+    for t, _seq, name, value in popped:
+        runs.setdefault(name, []).append((t, value))
+    return runs
+
+
+def grouped_runs(grouped):
+    """``pop_due_grouped`` output as ``{name: [(time, value), ...]}``."""
+    return {name: list(zip(t.tolist(), v.tolist())) for name, (t, v) in grouped.items()}
+
+
+class TestDrainWithoutSorting:
+    def test_interleaved_in_order_signals_never_sort(self, sort_calls):
+        """64 signals push 128-sample blocks, each in time order, that
+        start before the other signals' blocks end; polls every 50 ms at
+        a 200 ms delay pop each signal's due prefix with no sort."""
+        buf = SampleBuffer(delay_ms=200)
+        model = HeapModel(delay_ms=200)
+
+        def drain(at):
+            got = grouped_runs(buf.pop_due_grouped(at))
+            want = model_runs(model.pop_due(at))
+            assert list(got) == list(want)
+            assert got == want
+            return got
+
+        rng = random.Random(5)
+        signals = list(range(64))
+        value = 0.0
+        for rnd in range(8):
+            now = rnd * 50.0
+            rng.shuffle(signals)
+            for k in signals:
+                name = f"s{k}"
+                times = [rnd * 64.0 + k * 0.25 + i * 0.5 for i in range(128)]
+                values = [value + i for i in range(128)]
+                value += 128
+                assert buf.push_many(name, times, values, now) == 128
+                for t, v in zip(times, values):
+                    assert model.push(name, t, v, now)
+            drain(now + 50.0)
+        assert len(drain(1e9)) == 64 and len(buf) == 0
+        assert sort_calls == []
+
+    def test_one_signal_pop_due_arrays_never_sorts(self, sort_calls):
+        buf = SampleBuffer(delay_ms=200)
+        model = HeapModel(delay_ms=200)
+        for rnd in range(8):
+            now = rnd * 50.0
+            times = [rnd * 64.0 + i * 0.5 for i in range(128)]
+            buf.push_many("s", times, times, now)
+            for t in times:
+                model.push("s", t, t, now)
+            for at in (now + 50.0, now + 50.0):  # the second finds nothing due
+                t, v, ids = buf.pop_due_arrays(at)
+                want = model.pop_due(at)
+                assert t.tolist() == v.tolist() == [row[0] for row in want]
+                assert ids.tolist() == [0] * len(want)
+        assert sort_calls == []
+
+
+def op_strategy():
+    """Per-signal chunks (in time order or not) with pops interleaved.
+
+    Times come from a small integer range, so equal timestamps across
+    signals are common."""
+    chunk = st.tuples(
+        st.sampled_from("abcd"),
+        st.lists(st.integers(0, 60).map(float), min_size=1, max_size=8),
+        st.booleans(),  # the chunk is pushed in time order
+    )
+    pop = st.integers(0, 90).map(float)
+    return st.lists(st.one_of(chunk, pop), max_size=40)
+
+
+def replay(buf, ops, now=0.0, model=None, counter=None):
+    """Apply ``ops`` to ``buf`` (and ``model``); each pop's samples as
+    ``(time, seq, name, value)`` tuples, and the final clock."""
+    counter = counter if counter is not None else itertools.count()
+    pops = []
+    for op in ops:
+        if isinstance(op, float):
+            now = max(now, op)
+            got = [(s.time_ms, s.seq, s.name, s.value) for s in buf.pop_due(now)]
+            if model is not None:
+                assert got == model.pop_due(now)
+            pops.append(got)
+            continue
+        name, times, in_order = op
+        times = sorted(times) if in_order else times
+        values = [float(next(counter)) for _ in times]
+        accepted = buf.push_many(name, times, values, now)
+        if model is not None:
+            want = [model.push(name, t, v, now) for t, v in zip(times, values)]
+            assert accepted == sum(want)
+    return pops, now
+
+
+def state_equal(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], np.ndarray):
+            assert a[key].dtype == b[key].dtype
+            assert a[key].tolist() == b[key].tolist()
+        else:
+            assert a[key] == b[key]
+
+
+class TestRunsMatchHeapModel:
+    @given(op_strategy(), st.floats(min_value=0, max_value=20))
+    @settings(max_examples=80, deadline=None)
+    def test_grouped_pop_order_and_contents(self, ops, delay):
+        buf = SampleBuffer(delay_ms=delay)
+        model = HeapModel(delay_ms=delay)
+        counter = itertools.count()
+        now = 0.0
+        for op in ops + [1e9]:
+            if isinstance(op, float):
+                now = max(now, op)
+                got = grouped_runs(buf.pop_due_grouped(now))
+                want = model_runs(model.pop_due(now))
+                assert list(got) == list(want)
+                assert got == want
+                head = buf.peek_next()
+                if model._heap:
+                    t, seq, name, value = model._heap[0]
+                    assert (head.time_ms, head.seq, head.name, head.value) == (
+                        t, seq, name, value
+                    )
+                else:
+                    assert head is None
+                continue
+            replay(buf, [op], now, model, counter)
+        assert buf.stats.popped == model.popped
+        assert buf.stats.dropped_late == model.dropped_late
+        assert len(buf) == 0 and buf.names() == ()
+
+    @given(op_strategy(), st.floats(min_value=0, max_value=20), st.integers(0, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_snapshot_mid_stream_continues_identically(self, ops, delay, cut):
+        cut = min(cut, len(ops))
+        whole = SampleBuffer(delay_ms=delay)
+        pops, _ = replay(whole, ops)
+        first = SampleBuffer(delay_ms=delay)
+        counter = itertools.count()
+        before, now = replay(first, ops[:cut], counter=counter)
+        restored = SampleBuffer()
+        restored.load_state(first.state_dict())
+        after, _ = replay(restored, ops[cut:], now, counter=counter)
+        assert before + after == pops
+        assert restored.stats == whole.stats
+        state_equal(restored.state_dict(), whole.state_dict())
+
+    def test_state_dict_columns_are_time_seq_ordered(self):
+        buf = SampleBuffer(delay_ms=100)
+        buf.push_many("b", [5.0, 1.0], [50.0, 10.0], 0.0)
+        buf.push("a", 5.0, 51.0, 0.0)
+        buf.push("a", 0.0, 1.0, 0.0)
+        state = buf.state_dict()
+        assert state["times"].tolist() == [0.0, 1.0, 5.0, 5.0]
+        assert state["seqs"].tolist() == [3, 1, 0, 2]
+        assert state["ids"].tolist() == [1, 0, 0, 1]
+        assert state["names"] == ["b", "a"]
+        assert state["sorted_len"] == 4
+        assert state["times"].dtype == np.float64
+        assert state["ids"].dtype == state["seqs"].dtype == np.int64
+
+    def test_parent_format_state_with_unsorted_tail(self):
+        """Columns sorted by (time, seq) for the first ``sorted_len``
+        samples, then an append tail in push order."""
+        times = [1.0, 3.0, 3.0, 7.0, 2.0, 3.0, 1.5, 9.0]
+        seqs = [0, 2, 3, 4, 5, 6, 7, 8]
+        ids = [0, 1, 0, 1, 1, 0, 0, 1]
+        names = ["a", "b"]
+        state = {
+            "delay_ms": 10.0,
+            "capacity": None,
+            "times": np.array(times),
+            "values": np.array([10.0 * s for s in seqs]),
+            "seqs": np.array(seqs, dtype=np.int64),
+            "ids": np.array(ids, dtype=np.int64),
+            "sorted_len": 4,
+            "next_seq": 9,
+            "names": names,
+            "stats": {"pushed": 10, "dropped_late": 1, "evicted": 0, "popped": 1},
+        }
+        buf = SampleBuffer()
+        buf.load_state(state)
+        model = HeapModel(delay_ms=10.0)
+        model._seq = itertools.count(9)
+        for t, s, i in sorted(zip(times, seqs, ids), key=lambda row: row[1]):
+            heapq.heappush(model._heap, (t, s, names[i], 10.0 * s))
+        assert len(buf) == 8 and buf.names() == ("a", "b")
+        assert buf.stats.buffered == 8
+        for at in (11.0, 13.0):
+            got = [(s.time_ms, s.seq, s.name, s.value) for s in buf.pop_due(at)]
+            assert got == model.pop_due(at)
+        for name, t in (("a", 4.0), ("b", 3.5), ("a", 3.5)):
+            assert buf.push(name, t, -t, 13.0) == model.push(name, t, -t, 13.0)
+        got = [(s.time_ms, s.seq, s.name, s.value) for s in buf.pop_due(1e9)]
+        assert got == model.pop_due(1e9)

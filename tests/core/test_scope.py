@@ -311,6 +311,33 @@ class TestRecording:
         loop.run_for(200)
         assert len(sink.getvalue()) == size
 
+    def test_equal_buffered_times_recorded_in_push_order(self):
+        """Ties between signals follow push order, as ``pop_due`` does."""
+        scope, loop = make_scope(period_ms=50)
+        scope.signal_new(buffer_signal("A"))
+        scope.signal_new(buffer_signal("B"))
+        sink = io.StringIO()
+        scope.record_to(Recorder(sink))
+        scope.push_sample("A", 1.0, 10.0)
+        scope.push_sample("B", 5.0, 20.0)
+        scope.push_sample("A", 5.0, 30.0)
+        scope.start_polling()
+        loop.run_for(60)
+        assert scope.polls == 1
+        assert sink.getvalue().splitlines() == ["1 10 A", "5 20 B", "5 30 A"]
+
+    def test_polled_points_recorded_first_among_equal_times(self):
+        scope, loop = make_scope(period_ms=50)
+        scope.signal_new(buffer_signal("B"))
+        scope.signal_new(memory_signal("p", Cell(7)))
+        sink = io.StringIO()
+        scope.record_to(Recorder(sink))
+        scope.push_sample("B", 50.0, 40.0)
+        scope.push_sample("B", 5.0, 20.0)
+        scope.start_polling()
+        loop.run_for(60)
+        assert sink.getvalue().splitlines() == ["5 20 B", "50 7 p", "50 40 B"]
+
 
 class TestManualTick:
     def test_tick_drives_one_poll(self):

@@ -1,6 +1,7 @@
 """Tests for ``benchmarks/ab.py``'s verdict logic, on canned run records."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -103,3 +104,66 @@ class TestVerdict:
 
     def test_quartiles_of_one_run(self, ab):
         assert ab.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+PER_LAYER = [
+    {"name": "core.scope.busy_ms", "unit": "ms", "better": "lower"},
+    {"name": "core.scope.polls", "unit": "count", "better": "higher"},
+    {"name": "core.scope.poll_ms_max", "unit": "ms", "better": "lower"},
+    {"name": "capture.writer.bytes", "unit": "bytes", "better": "lower"},
+    {"name": "net.transport.bytes_per_sample", "unit": "B/sample", "better": "lower"},
+    {"name": "net.shard.skew", "unit": "ratio", "better": "lower"},
+    {"name": "net.worker.wait_ms", "unit": "ms", "better": "lower"},
+    {"name": "unattributed.ms", "unit": "ms", "better": "lower"},
+]
+
+
+def traced(correct=True, **overrides):
+    metrics = {
+        "core.scope.busy_ms": 400.0,
+        "core.scope.polls": 48,
+        "core.scope.poll_ms_max": 20.0,
+        "capture.writer.bytes": 1000,
+        "net.transport.bytes_per_sample": 22.5,
+        "net.shard.skew": 1.8,
+        "net.worker.wait_ms": 0.0,
+        "unattributed.ms": 20.0,
+    }
+    metrics.update(overrides)
+    return run(correct=correct, **metrics)
+
+
+class TestCounts:
+    def test_equal_counts_exit_zero_and_timings_are_ratios(self, ab):
+        change = traced(**{"core.scope.busy_ms": 100.0, "net.shard.skew": 1.2})
+        differences, timings, status = ab.counts(PER_LAYER, traced(), change)
+        assert differences == [] and status == 0
+        by_name = {name: (p, c, ratio) for name, p, c, ratio in timings}
+        timed = ["core.scope.busy_ms", "net.worker.wait_ms", "unattributed.ms"]
+        assert list(by_name) == timed
+        assert by_name["core.scope.busy_ms"] == (400.0, 100.0, 0.25)
+        assert math.isnan(by_name["net.worker.wait_ms"][2])  # 0 / 0
+
+    def test_every_exact_unit_difference_is_reported_and_fails(self, ab):
+        change = traced(**{
+            "core.scope.polls": 47,
+            "capture.writer.bytes": 1001,
+            "net.transport.bytes_per_sample": 22.25,
+        })
+        differences, _, status = ab.counts(PER_LAYER, traced(), change)
+        assert differences == [
+            ("core.scope.polls", 48.0, 47.0),
+            ("capture.writer.bytes", 1000.0, 1001.0),
+            ("net.transport.bytes_per_sample", 22.5, 22.25),
+        ]
+        assert status == 1
+
+    def test_a_count_missing_on_one_side_differs(self, ab):
+        parent = traced()
+        del parent["metrics"]["core.scope.polls"]
+        differences, _, status = ab.counts(PER_LAYER, parent, traced())
+        assert differences == [("core.scope.polls", None, 48.0)] and status == 1
+
+    def test_incorrect_run_exits_one(self, ab):
+        assert ab.counts(PER_LAYER, traced(), traced(correct=False))[2] == 1
+        assert ab.counts(PER_LAYER, traced(correct=False), traced())[2] == 1
