@@ -230,7 +230,7 @@ def bench_fanout(
     server = ScopeServer(loop, manager)
 
     preamble = (
-        encode_hello(2)
+        encode_hello()
         + encode_query({"op": "query", "id": "q", "text": FANOUT_QUERY})
         + encode_query({"op": "subscribe", "id": "q"})
     )
@@ -244,7 +244,7 @@ def bench_fanout(
 
     source, far = memory_pair(loop.clock)
     server.add_client(far)
-    source.send(encode_hello(2) + encode_name_def(0, "src"))
+    source.send(encode_hello() + encode_name_def(0, "src"))
     loop.run_for(10.0)
 
     rng = np.random.default_rng(12)

@@ -45,6 +45,7 @@ from repro.capture.format import (
     unpack_name_table,
     unpack_trailer,
 )
+from repro.core.checksum import crc32, gather_verify
 
 
 @dataclass(frozen=True, order=True)
@@ -181,10 +182,16 @@ class Segment:
     def sample_count(self) -> int:
         return int(self.directory["count"].sum())
 
+    def _view(self) -> np.ndarray:
+        """The mapping as a uint8 array (made once, on first use)."""
+        if self._base is None:
+            self._base = np.frombuffer(self._mm, dtype=np.uint8)
+        return self._base
+
     def verify_block(self, index: int) -> None:
         """Check block ``index``'s payload CRC once (cached thereafter).
 
-        The CRC runs over a memoryview of the mapping — no slice copy.
+        The CRC runs over the mapping in place — no slice copy.
         """
         if self._verified[index]:
             return
@@ -192,7 +199,7 @@ class Segment:
         count = int(entry["count"])
         offset = int(entry["offset"])
         stored = int(entry["crc"])
-        actual = zlib.crc32(memoryview(self._mm)[offset : offset + 16 * count])
+        actual = crc32(self._view(), 0, offset, 16 * count)
         if stored != actual:
             raise CaptureFormatError(
                 f"{self.path.name}: block {index} payload CRC mismatch "
@@ -231,23 +238,22 @@ class Segment:
         """Copy blocks ``indices`` (stream order) into the output columns.
 
         CRC verification and the payload copy run as **one native pass**
-        over the segment (:func:`repro.query.kernels.gather_verify`,
-        which calls zlib's ``crc32`` from C) when a compiled backend
-        exists — no per-block Python loop on the hot read path.
-        Already-verified blocks skip their check either way.  Without a
-        native backend: per-block ``zlib.crc32`` plus numpy assignments.
+        over the segment (:func:`repro.core.checksum.gather_verify`, the
+        carry-less-multiply CRC kernel) when a compiled backend exists —
+        no per-block Python loop on the hot read path.  Already-verified
+        blocks skip their check either way.  Without one: per-block
+        :meth:`verify_block` (``zlib.crc32``), then a native
+        (:func:`repro.query.kernels.gather_blocks`) or numpy copy.
         Returns the cursor after the copied samples.
         """
         from repro.query import kernels
 
         entries = self.directory[indices]
         counts = entries["count"].astype(np.int64)
-        if self._base is None:
-            self._base = np.frombuffer(self._mm, dtype=np.uint8)
         verified = self._verified[indices]
         crcs = np.where(verified, -1, entries["crc"].astype(np.int64))
-        rc = kernels.gather_verify(
-            self._base,
+        rc = gather_verify(
+            self._view(),
             entries["offset"].astype(np.int64),
             counts,
             crcs,
@@ -263,7 +269,7 @@ class Segment:
                 )
             self._verified[indices] = True
             return start + rc
-        # No -lz-linked kernel: verify per block, then copy (natively
+        # No checksum kernel: verify per block, then copy (natively
         # when at least the base support library built, else numpy).
         for index in indices:
             self.verify_block(int(index))

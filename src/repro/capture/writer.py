@@ -5,8 +5,8 @@ A :class:`CaptureWriter` is a *tap*: it is callable with the exact
 :meth:`~repro.core.manager.ScopeManager.push_samples` receives, so
 attaching one to a manager (``manager.add_tap(writer)``) records every
 offered sample — accepted *and* late-dropped — with near-zero hot-path
-cost: one truthiness check when no tap is attached, two ``memcpy``-sized
-array copies per pushed batch when one is.
+cost: one truthiness check when no tap is attached and, when one is, a
+copy of both columns per pushed batch (producers reuse their buffers).
 
 Recording the offered stream (with its push instant) rather than the
 displayed stream is what makes replay *checkable*: re-pushing the same
@@ -14,24 +14,32 @@ columns at the same clock instants reproduces every accept/late-drop
 decision bit for bit (see :mod:`repro.capture.replay`).
 
 Blocks accumulate in memory and are flushed as one self-contained
-segment file every ``segment_samples`` samples.  Segments are written in
-a single ``write`` call with the trailer last, so a writer killed
-mid-segment leaves all previously flushed segments readable.
+segment file every ``segment_samples`` samples.  A flush is whole-segment
+array work: one ``np.concatenate`` copies every pending column into the
+body, ``reduceat`` gives each block's time range and sorted flag, and
+one native call (:func:`repro.core.checksum.crc32_blocks`) every block's
+CRC.  The segment goes out as one ``os.writev`` of header, name table,
+body, directory and trailer, resumed after a short write, so the
+trailer lands last and a writer killed mid-segment leaves all previously
+flushed segments readable.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 import zlib
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.cells import Counter, Histogram, cell_property
+from repro.core.checksum import crc32_blocks
 
 from repro.capture.format import (
+    HEADER_CRC_SPAN,
     HEADER_SIZE,
     FLAG_TIMES_SORTED,
     DIR_DTYPE,
@@ -222,62 +230,63 @@ class CaptureWriter:
     # Segment serialisation
     # ------------------------------------------------------------------
     def flush_segment(self) -> Optional[Path]:
-        """Serialise pending blocks as one segment file; None when empty."""
+        """Serialise pending blocks as one segment file; None when empty.
+
+        Whole-segment array work, no per-block loop: one
+        ``np.concatenate`` builds the body ``[t0, v0, t1, v1, ...]``,
+        ``reduceat`` over its column starts gives every block's time
+        range and sorted flag, one native call every block's CRC.
+        """
         if not self._pending:
             return None
         blocks, self._pending = self._pending, []
         self._pending_samples = 0
 
-        id_of_name = {}
-        names: List[str] = []
-        directory = np.zeros(len(blocks), dtype=DIR_DTYPE)
-        body: List[bytes] = []
-        rel_offset = 0
-        for i, (name, t, v, now) in enumerate(blocks):
-            name_id = id_of_name.get(name)
-            if name_id is None:
-                name_id = len(names)
-                id_of_name[name] = name_id
-                names.append(name)
-            tb = t.tobytes()
-            vb = v.tobytes()
-            # NaN timestamps are recordable (the buffer keeps them on
-            # the accept side) but must not poison the seek index: a
-            # NaN never satisfies `time >= t`, so it is excluded from
-            # the block's range (an all-NaN block indexes as -inf and
-            # is never a seek target) and disables the sorted fast path.
+        id_of_name: Dict[str, int] = {}
+        name_ids = [id_of_name.setdefault(b[0], len(id_of_name)) for b in blocks]
+        counts = np.array([b[1].shape[0] for b in blocks], dtype=np.int64)
+        body = np.concatenate([column for b in blocks for column in b[1:3]])
+        # Start (in samples) of every column: times of block i at
+        # col_starts[2i], its values at col_starts[2i + 1].
+        col_starts = np.cumsum(np.repeat(counts, 2)) - np.repeat(counts, 2)
+        # NaN timestamps are recordable (the buffer keeps them on the
+        # accept side) but must not poison the seek index: a NaN never
+        # satisfies `time >= t`, so it is excluded from the block's
+        # range (an all-NaN block indexes as -inf and is never a seek
+        # target) and disables the sorted fast path.
+        t_min = np.fmin.reduceat(body, col_starts)[::2]
+        t_max = np.fmax.reduceat(body, col_starts)[::2]
+        t_min[np.isnan(t_min)] = t_max[np.isnan(t_max)] = -np.inf
+        # Which of +0.0 and -0.0 a min/max keeps depends on the
+        # reduction; recompute a zero extreme the way every earlier
+        # segment was written, so the bytes never change.
+        for i in np.flatnonzero((t_min == 0.0) | (t_max == 0.0)).tolist():
+            t = blocks[i][1]
             non_nan = t[~np.isnan(t)]
-            if non_nan.shape[0]:
-                t_min, t_max = float(non_nan.min()), float(non_nan.max())
-            else:
-                t_min = t_max = float("-inf")
-            sorted_flag = (
-                FLAG_TIMES_SORTED
-                if non_nan.shape[0] == t.shape[0]
-                and (t.shape[0] < 2 or bool(np.all(t[1:] >= t[:-1])))
-                else 0
-            )
-            directory[i] = (
-                name_id,
-                t.shape[0],
-                now,
-                t_min,
-                t_max,
-                rel_offset,  # rebased below once the table size is known
-                sorted_flag,
-                zlib.crc32(vb, zlib.crc32(tb)),
-            )
-            body.append(tb)
-            body.append(vb)
-            rel_offset += len(tb) + len(vb)
+            t_min[i], t_max[i] = non_nan.min(), non_nan.max()
+        # Sorted: no NaN and no decrease.  Each time compares with its
+        # predecessor, and a block's first time only with itself.
+        ascending = np.empty(body.shape[0], dtype=bool)
+        ascending[1:] = body[1:] >= body[:-1]
+        times_at = col_starts[::2]
+        ascending[times_at] = body[times_at] == body[times_at]
+        is_sorted = np.logical_and.reduceat(ascending, col_starts)[::2]
 
-        name_table = pack_name_table(names)
+        name_table = pack_name_table(list(id_of_name))
         body_offset = HEADER_SIZE + len(name_table)
-        directory["offset"] += body_offset
+        directory = np.zeros(len(blocks), dtype=DIR_DTYPE)
+        directory["name_id"] = name_ids
+        directory["count"] = counts
+        directory["push_now"] = [b[3] for b in blocks]
+        directory["t_min"] = t_min
+        directory["t_max"] = t_max
+        directory["offset"] = body_offset + 8 * times_at
+        directory["flags"] = np.where(is_sorted, FLAG_TIMES_SORTED, 0)
+        directory["crc"] = crc32_blocks(body, 8 * times_at, 16 * counts)
         dir_bytes = directory.tobytes()
         header = SegmentHeader(
             segment_index=self._next_segment,
-            name_count=len(names),
+            name_count=len(id_of_name),
             block_count=len(blocks),
             t_min=float(directory["t_min"].min()),
             t_max=float(directory["t_max"].max()),
@@ -285,31 +294,29 @@ class CaptureWriter:
             now_last=float(directory["push_now"][-1]),
             name_table_bytes=len(name_table),
         )
-        head_no_crc = pack_header(header, 0)[: HEADER_SIZE - 4]
-        payload = b"".join(
-            [
-                head_no_crc,
-                zlib.crc32(head_no_crc).to_bytes(4, "little"),
-                name_table,
-                *body,
-                dir_bytes,
-                pack_trailer(body_offset + rel_offset, zlib.crc32(dir_bytes)),
-            ]
-        )
-        # One write, trailer last: a killed writer leaves either a whole
-        # segment or a torn one the reader rejects — never a silently
-        # half-decoded one.  (Durability against OS crash would need an
-        # fsync here; process death is the failure mode we recover.)
+        head_no_crc = pack_header(header, 0)[:HEADER_CRC_SPAN]
+        parts = [
+            head_no_crc + zlib.crc32(head_no_crc).to_bytes(4, "little"),
+            name_table,
+            body,
+            dir_bytes,
+            pack_trailer(body_offset + body.nbytes, zlib.crc32(dir_bytes)),
+        ]
+        # One writev, trailer last: a killed writer leaves either a
+        # whole segment or a torn one the reader rejects — never a
+        # silently half-decoded one.  (Durability against OS crash would
+        # need an fsync here; process death is the failure mode we
+        # recover.)
         target = self.path / segment_filename(self._next_segment)
         t0 = self._perf()
-        with open(target, "wb") as fh:
-            fh.write(payload)
+        with open(target, "wb", buffering=0) as fh:
+            written = _write_all(fh.fileno(), parts)
         self._flush_ms.observe((self._perf() - t0) * 1000.0)
         self._next_segment += 1
         self._cells["segments_written"].inc()
         self._cells["blocks_written"].inc(len(blocks))
-        self._cells["samples_written"].inc(int(directory["count"].sum()))
-        self._cells["bytes_written"].inc(len(payload))
+        self._cells["samples_written"].inc(int(counts.sum()))
+        self._cells["bytes_written"].inc(written)
         return target
 
     def close(self) -> None:
@@ -324,6 +331,23 @@ class CaptureWriter:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+def _write_all(fd: int, parts: List) -> int:
+    """Write every byte of ``parts`` in order; returns the byte count.
+
+    A regular file may take a short ``writev``, so it resumes from the
+    first unwritten byte until none is left.
+    """
+    views = [memoryview(part).cast("B") for part in parts]
+    total = sum(view.nbytes for view in views)
+    while views:
+        done = os.writev(fd, views)
+        while views and done >= views[0].nbytes:
+            done -= views.pop(0).nbytes
+        if views:
+            views[0] = views[0][done:]
+    return total
 
 
 def capture_sharded(sharded, root: Union[str, Path], **writer_opts) -> List[CaptureWriter]:

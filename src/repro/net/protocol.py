@@ -57,7 +57,11 @@ Version 2 exists because version-1 SAMPLES payloads had no integrity
 check — a fault flipping one byte of a float64 column delivered a
 *wrong value* instead of an error.  The column bytes are covered by a
 trailing crc32; a mismatch raises :class:`ProtocolError` and the
-connection dies before a corrupt sample reaches a scope.
+connection dies before a corrupt sample reaches a scope.  Encoder and
+decoder take the CRC from :mod:`repro.core.checksum`: zlib's values,
+computed by ``zlib`` for columns under its cutover (8 KiB) and by one
+native call above it — the encoder over both columns without joining
+them, the decoder straight from the received ``bytes`` chunk.
 
 Both decoders are incremental — network reads arrive in arbitrary
 chunks, so stateful decoders carry partial lines / partial frames
@@ -71,12 +75,12 @@ from __future__ import annotations
 import enum
 import json
 import struct
-import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.checksum import crc32, crc32_columns
 from repro.core.tuples import Tuple3, format_tuple, parse_tuple
 
 __all__ = [
@@ -314,7 +318,7 @@ def encode_binary_samples(
         )
         tb = t.tobytes()
         vb = v.tobytes()
-        crc = zlib.crc32(vb, zlib.crc32(tb))
+        crc = crc32_columns(tb, vb)
         return header + tb + vb + _CRC_TRAILER.pack(crc)
     parts = []
     for start in range(0, n, MAX_FRAME_SAMPLES):
@@ -345,7 +349,7 @@ def encode_deliver(
         )
         tb = t.tobytes()
         vb = v.tobytes()
-        crc = zlib.crc32(vb, zlib.crc32(tb))
+        crc = crc32_columns(tb, vb)
         return header + _DELIVER_NOW.pack(float(now)) + tb + vb + _CRC_TRAILER.pack(crc)
     parts = []
     for start in range(0, n, MAX_FRAME_SAMPLES):
@@ -517,14 +521,12 @@ class FrameDecoder:
             if kind is FrameKind.DELIVER:
                 (now,) = _DELIVER_NOW.unpack_from(source, offset)
                 offset += _DELIVER_NOW.size
-            with memoryview(source) as view:
-                columns = view[offset : offset + 16 * count]
-                (expect,) = _CRC_TRAILER.unpack_from(source, offset + 16 * count)
-                if zlib.crc32(columns) != expect:
-                    raise ProtocolError(
-                        f"{kind.name} column checksum mismatch "
-                        f"(corrupt frame of {count} samples)"
-                    )
+            (expect,) = _CRC_TRAILER.unpack_from(source, offset + 16 * count)
+            if crc32(source, 0, offset, 16 * count) != expect:
+                raise ProtocolError(
+                    f"{kind.name} column checksum mismatch "
+                    f"(corrupt frame of {count} samples)"
+                )
             times = np.frombuffer(source, dtype="<f8", count=count, offset=offset)
             values = np.frombuffer(
                 source, dtype="<f8", count=count, offset=offset + 8 * count

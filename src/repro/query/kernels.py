@@ -29,9 +29,11 @@ via ``(a OP b || a != a) ? a : b``; comparisons yield 0.0 on NaN;
 Beyond fused chains, the shared *support* library carries the other
 hot-loop kernels of the data path: the two-pointer sample-and-hold
 **join merge** (replacing sort + two ``searchsorted`` gathers), the
-**strict-monotonicity probe** used by source operators, and the
-**block gather** used by :meth:`repro.capture.reader.CaptureReader.columns_for`.
-All of them degrade to numpy when no native backend exists.
+**strict-monotonicity probe** used by source operators, and the plain
+**block gather** that :meth:`repro.capture.reader.Segment.gather` falls
+back to when the checksum kernel (:mod:`repro.core.checksum`, which
+verifies and gathers in one pass) did not build.  All of them degrade
+to numpy when no native backend exists.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "JoinKernel",
     "fusable_steps",
     "gather_blocks",
-    "gather_verify",
     "get_fused",
     "is_elementwise",
     "join_kernel",
@@ -504,47 +505,8 @@ long long gather_blocks(const char* base, const long long* offsets,
 """
 )
 
-#: Verified gather: per-block CRC check *and* payload copy in one C
-#: pass over the segment, calling zlib's optimized ``crc32_z`` directly
-#: (the support ``.so`` links ``-lz``).  This removes the Python
-#: per-block verification loop from the capture read path; the CRC
-#: itself still runs at zlib speed, but each signal costs one native
-#: call per segment instead of one Python call per block.  Returns the
-#: sample count copied, or ``-(b + 1)`` naming the first bad block.
-_CRC_SOURCE = """\
-#include <stddef.h>
-#include <string.h>
-
-extern unsigned long crc32_z(unsigned long crc, const unsigned char* buf,
-                             size_t len);
-
-long long gather_verify(const char* base, const long long* offsets,
-                        const long long* counts, const long long* crcs,
-                        long long nblocks, double* out_t, double* out_v)
-{
-    long long cur = 0;
-    for (long long b = 0; b < nblocks; b++) {
-        long long c = counts[b];
-        if (crcs[b] >= 0) {  /* negative: caller already verified it */
-            unsigned long got = crc32_z(
-                0UL, (const unsigned char*)(base + offsets[b]),
-                (size_t)(16 * c));
-            if ((long long)(got & 0xffffffffUL) != crcs[b])
-                return -(b + 1);
-        }
-        memcpy((char*)(out_t + cur), base + offsets[b], (size_t)(8 * c));
-        memcpy((char*)(out_v + cur), base + offsets[b] + 8 * c,
-               (size_t)(8 * c));
-        cur += c;
-    }
-    return cur;
-}
-"""
-
 _support_lib: Optional[ctypes.CDLL] = None
 _support_tried = False
-_crc_lib: Optional[ctypes.CDLL] = None
-_crc_tried = False
 
 
 def _support() -> Optional[ctypes.CDLL]:
@@ -566,32 +528,12 @@ def _support() -> Optional[ctypes.CDLL]:
     return _support_lib
 
 
-def _crc() -> Optional[ctypes.CDLL]:
-    """The verified-gather library, built separately: it links ``-lz``,
-    and a machine with a compiler but no zlib dev library must lose only
-    this fast path, not the whole support library."""
-    global _crc_lib, _crc_tried
-    if not _crc_tried:
-        _crc_tried = True
-        if native.mode() == "c":
-            lib = native.build(_CRC_SOURCE, "crcgather", ldflags=("-lz",))
-            if lib is not None:
-                lib.gather_verify.restype = _C_LL
-                lib.gather_verify.argtypes = [
-                    _C_P, _C_P, _C_P, _C_P, _C_LL, _C_P, _C_P,
-                ]
-            _crc_lib = lib
-    return _crc_lib
-
-
 def reset_cache() -> None:
     """Drop per-process kernel caches (test hook, pairs with native.reset)."""
-    global _support_lib, _support_tried, _crc_lib, _crc_tried
+    global _support_lib, _support_tried
     _fused_cache.clear()
     _support_lib = None
     _support_tried = False
-    _crc_lib = None
-    _crc_tried = False
 
 
 class JoinKernel:
@@ -684,34 +626,3 @@ def gather_blocks(
         out_v.ctypes.data + 8 * start,
     )
     return int(copied)
-
-
-def gather_verify(
-    base: np.ndarray,
-    offsets: np.ndarray,
-    counts: np.ndarray,
-    crcs: np.ndarray,
-    out_t: np.ndarray,
-    out_v: np.ndarray,
-    start: int,
-) -> Optional[int]:
-    """CRC-check and gather blocks in one native pass; None → numpy path.
-
-    ``crcs`` (int64) holds each block's stored payload CRC, or ``-1``
-    for blocks the caller has already verified (the check is skipped).
-    Returns the sample count copied, or ``-(b + 1)`` when block ``b``
-    (an index into ``offsets``) fails its CRC — the caller raises.
-    """
-    lib = _crc()
-    if lib is None:
-        return None
-    rc = lib.gather_verify(
-        base.ctypes.data,
-        np.ascontiguousarray(offsets, dtype=np.int64).ctypes.data,
-        np.ascontiguousarray(counts, dtype=np.int64).ctypes.data,
-        np.ascontiguousarray(crcs, dtype=np.int64).ctypes.data,
-        offsets.shape[0],
-        out_t.ctypes.data + 8 * start,
-        out_v.ctypes.data + 8 * start,
-    )
-    return int(rc)

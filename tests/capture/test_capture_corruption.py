@@ -24,6 +24,7 @@ from repro.capture.format import (
     TRAILER_STRUCT,
     unpack_trailer,
 )
+from repro.core.checksum import CUTOVER
 
 pytestmark = pytest.mark.capture
 
@@ -223,6 +224,56 @@ class TestFailClosed:
             for a, b in zip(ref_columns, got):
                 np.testing.assert_array_equal(a, b)
         segment.write_bytes(pristine)
+
+
+class TestNativeSizedBlocks:
+    """Blocks of 8 KiB and more are checked by the native kernel — one
+    block in ``verify_block``, several in one verified-gather pass.  A
+    flipped payload byte must fail closed on both paths."""
+
+    SAMPLES = 600  # 9,600 payload bytes per block
+
+    @pytest.fixture
+    def flipped(self, tmp_path):
+        """A store of ``solo`` (one block) and ``multi`` (two blocks);
+        ``flip(block)`` corrupts one byte in that block's payload."""
+        path = tmp_path / "big"
+        rng = np.random.default_rng(8)
+        with CaptureWriter(path) as writer:
+            for k, name in enumerate(["solo", "multi", "multi"]):
+                times = 100.0 * k + np.sort(rng.random(self.SAMPLES))
+                writer.on_push(name, times, rng.standard_normal(self.SAMPLES), 100.0 * k + 1)
+        (segment,) = sorted(path.glob("*.gseg"))
+        with CaptureReader(path) as reader:
+            offsets = reader.segments[0].directory["offset"].tolist()
+        assert 16 * self.SAMPLES >= CUTOVER
+
+        def flip(block):
+            raw = bytearray(segment.read_bytes())
+            raw[offsets[block] + 16 * self.SAMPLES - 100] ^= 0x04
+            segment.write_bytes(bytes(raw))
+            return CaptureReader(path)
+
+        return flip
+
+    def test_verify_block(self, flipped):
+        with flipped(0) as reader:
+            reader.segments[0].verify_block(1)  # the intact blocks still pass
+            with pytest.raises(CaptureFormatError, match="block 0 payload CRC"):
+                reader.segments[0].verify_block(0)
+
+    def test_columns_for_single_block_signal(self, flipped):
+        with flipped(0) as reader:
+            assert reader.columns_for(["multi"])["multi"][0].shape == (2 * self.SAMPLES,)
+            with pytest.raises(CaptureFormatError, match="block 0 payload CRC"):
+                reader.columns_for(["solo"])
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_columns_for_gathered_signal(self, flipped, block):
+        with flipped(block) as reader:
+            assert reader.columns_for(["solo"])["solo"][0].shape == (self.SAMPLES,)
+            with pytest.raises(CaptureFormatError, match=f"block {block} payload CRC"):
+                reader.columns_for(["multi"])
 
 
 class TestCrashRecovery:

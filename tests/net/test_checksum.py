@@ -23,6 +23,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core.checksum import CUTOVER
 from repro.core.manager import ScopeManager
 from repro.core.signal import buffer_signal
 from repro.eventloop.loop import MainLoop
@@ -73,6 +74,26 @@ class TestDecoderRejectsEveryPayloadFlip:
         for offset in range(HEADER + 8, len(frame)):
             corrupt = bytearray(frame)
             corrupt[offset] ^= 0xFF
+            with pytest.raises(ProtocolError, match="checksum"):
+                FrameDecoder().feed(bytes(corrupt))
+
+    @pytest.mark.parametrize("encode", ["samples", "deliver"])
+    def test_every_flipped_payload_byte_of_a_native_sized_frame_raises(self, encode):
+        """512 samples are 8 KiB of columns: the checksum runs in the
+        native kernel, not zlib, and must catch every flip just the same."""
+        rng = np.random.default_rng(512)
+        times = np.cumsum(rng.random(512))
+        values = rng.standard_normal(512)
+        if encode == "samples":
+            frame, first = encode_binary_samples(5, times, values), HEADER
+        else:
+            frame, first = encode_deliver(5, 700.0, times, values), HEADER + 8
+        assert 16 * 512 >= CUTOVER
+        (decoded,) = FrameDecoder().feed(frame)
+        assert decoded.times.tobytes() == times.tobytes()
+        for offset in range(first, len(frame)):
+            corrupt = bytearray(frame)
+            corrupt[offset] ^= 0x5A
             with pytest.raises(ProtocolError, match="checksum"):
                 FrameDecoder().feed(bytes(corrupt))
 
