@@ -31,7 +31,8 @@ two-signal store (samples split evenly between ``a`` and ``b``):
   subscriber costs a queue append.  Subscribers are raw injected
   endpoints (no client-side decoders) — the measurement is the
   server-side multiplexing cost, which is what the acceptance bounds.
-  Acceptance: **1k subscribers < 2x the 1-subscriber wall time**.
+  Acceptance: **each of 1k subscribers adds < 20 µs per batch**
+  (:func:`fanout_marginal`).
 
 Batch measurements are best-of-:data:`ATTEMPTS` with a **fresh reader
 per attempt** — payload CRC verification is paid every time (the
@@ -85,13 +86,17 @@ FUSED_STATE_QUERY = "clip(ewma(2*a + 1, 0.9), -5, 5)"
 #: X12e: the shared derived view every subscriber watches.  Batches are
 #: the wire's bulk-transfer size (10k samples/frame, the regime the 10M/s
 #: ingest figure is quoted at): the fan-out's per-batch per-subscriber
-#: cost is one shared-bytes enqueue, so bulk frames are what the <2x
+#: cost is one shared-bytes enqueue, so bulk frames are what the
 #: marginal-subscriber claim is about — at tiny frames per-batch Python
 #: overhead dominates any transport.
 FANOUT_QUERY = "smooth = ewma(src, 0.9)"
 FANOUT_SAMPLES = 2_000_000
 FANOUT_BATCH = 20_000
-ACCEPTANCE_FANOUT_RATIO = 2.0
+#: Ceiling on the wall time one more subscriber adds per fanned batch,
+#: in µs.  A healthy build posts ~1 µs (one shared-bytes enqueue) and
+#: reads within a few µs of 0 at a tenth of the size; encoding once per
+#: subscriber posts ~250 µs.
+ACCEPTANCE_FANOUT_MARGINAL_US = 20.0
 
 
 def build_store(
@@ -277,21 +282,34 @@ def bench_fanout(
     }
 
 
-def fanout_ratio(attempts: int = 3) -> Tuple[list, float]:
-    """Paired 1-vs-1000-subscriber runs; returns (runs, best ratio).
+def fanout_marginal(
+    attempts: int = 3,
+    subscribers: int = 1000,
+    total: int = FANOUT_SAMPLES,
+    batch: int = FANOUT_BATCH,
+) -> Tuple[list, float]:
+    """Paired 1-vs-N-subscriber runs; returns (runs, best marginal cost).
 
-    Scheduling noise on a shared machine only ever *inflates* one side
-    of a wall-clock pair, so the minimum ratio across paired attempts
-    is the faithful estimate of the marginal-subscriber cost — the
-    same reasoning as best-of-N for a single rate.
+    The marginal cost is the wall time one more subscriber adds per
+    fanned batch, ``(t_N - t_1) / ((N - 1) * batches)``, in µs.  Unlike
+    the N-over-1 wall-time ratio it does not rise when the shared
+    ingest and evaluation path gets faster.  Scheduling noise on a
+    shared machine only ever *inflates* one side of a wall-clock pair,
+    so the minimum across paired attempts is the faithful estimate —
+    the same reasoning as best-of-N for a single rate.  One untimed rig
+    runs first: the first rig's timed window pays one-time loads, which
+    would inflate the first ``t_1`` and drag the minimum below zero.
     """
+    batches = -(-total // batch)
+    bench_fanout(1, total, batch)
     runs = []
     best = float("inf")
     for _ in range(attempts):
-        single = bench_fanout(1)
-        many = bench_fanout(1000)
+        single = bench_fanout(1, total, batch)
+        many = bench_fanout(subscribers, total, batch)
         runs.append((single, many))
-        best = min(best, many["seconds"] / single["seconds"])
+        extra = many["seconds"] - single["seconds"]
+        best = min(best, extra / ((subscribers - 1) * batches) * 1e6)
     return runs, best
 
 
@@ -304,13 +322,13 @@ def run_suite(total: int) -> dict:
     fused_map = bench_batch(total, FUSED_MAP_QUERY, signals=("a",))
     fused_state = bench_batch(total, FUSED_STATE_QUERY, signals=("a",))
     fanout = {str(n): bench_fanout(n) for n in (1, 10, 100, 1000)}
-    _, fanout["ratio_1k_vs_1"] = fanout_ratio(attempts=2)
+    _, fanout["marginal_us_1k"] = fanout_marginal(attempts=2)
     return {
         "benchmark": "query",
         "backend": native.mode(),
         "acceptance": {
             "min_arith_rate_per_sec": ACCEPTANCE_ARITH_RATE,
-            "max_fanout_1k_ratio": ACCEPTANCE_FANOUT_RATIO,
+            "max_fanout_marginal_us": ACCEPTANCE_FANOUT_MARGINAL_US,
         },
         "arith": arith,
         "pipeline": pipeline,
@@ -390,7 +408,7 @@ def test_fused_stateful_throughput():
 
 def test_fanout_subscriber_scaling():
     results = {n: bench_fanout(n) for n in (10, 100)}
-    runs, ratio = fanout_ratio()
+    runs, marginal = fanout_marginal()
     base = min(single["seconds"] for single, _ in runs)
     results[1] = min((s for s, _ in runs), key=lambda r: r["seconds"])
     results[1000] = min((m for _, m in runs), key=lambda r: r["seconds"])
@@ -404,10 +422,11 @@ def test_fanout_subscriber_scaling():
                           f"{r['fanned_samples']:>13,} fanned)")
             for n, r in sorted(results.items())
         ]
-        + [("1k ratio", f"{ratio:.2f}x paired best-of-{len(runs)} "
-                        f"(acceptance < {ACCEPTANCE_FANOUT_RATIO:.1f}x)")],
+        + [("marginal", f"{marginal:.2f} µs per subscriber per batch, paired "
+                        f"best-of-{len(runs)} (acceptance < "
+                        f"{ACCEPTANCE_FANOUT_MARGINAL_US:.0f} µs)")],
     )
-    assert ratio < ACCEPTANCE_FANOUT_RATIO
+    assert marginal < ACCEPTANCE_FANOUT_MARGINAL_US
 
 
 # ----------------------------------------------------------------------

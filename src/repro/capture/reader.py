@@ -239,15 +239,12 @@ class Segment:
 
         CRC verification and the payload copy run as **one native pass**
         over the segment (:func:`repro.core.checksum.gather_verify`, the
-        carry-less-multiply CRC kernel) when a compiled backend exists —
+        carry-less-multiply CRC kernel) when the checksum kernel built —
         no per-block Python loop on the hot read path.  Already-verified
-        blocks skip their check either way.  Without one: per-block
-        :meth:`verify_block` (``zlib.crc32``), then a native
-        (:func:`repro.query.kernels.gather_blocks`) or numpy copy.
+        blocks skip their check either way.  Without it: per-block
+        :meth:`verify_block` (``zlib.crc32``), then a numpy copy.
         Returns the cursor after the copied samples.
         """
-        from repro.query import kernels
-
         entries = self.directory[indices]
         counts = entries["count"].astype(np.int64)
         verified = self._verified[indices]
@@ -269,36 +266,19 @@ class Segment:
                 )
             self._verified[indices] = True
             return start + rc
-        # No checksum kernel: verify per block, then copy (natively
-        # when at least the base support library built, else numpy).
+        # No checksum kernel: verify per block, then slice the mapping
+        # directly per block (no Block objects, no re-verification).
         for index in indices:
             self.verify_block(int(index))
-        copied = kernels.gather_blocks(
-            self._base,
-            entries["offset"].astype(np.int64),
-            counts,
-            out_t,
-            out_v,
-            start,
-        )
-        if copied is None:
-            # Pure-numpy copy: slice the mapping directly per block
-            # (CRCs were verified above; no Block objects, no
-            # re-verification on this path).
-            base = self._base
-            cursor = start
-            for offset, count in zip(
-                entries["offset"].tolist(), entries["count"].tolist()
-            ):
-                stop = cursor + count
-                mid = offset + 8 * count
-                out_t[cursor:stop] = base[offset:mid].view(np.float64)
-                out_v[cursor:stop] = base[mid : mid + 8 * count].view(
-                    np.float64
-                )
-                cursor = stop
-            return cursor
-        return start + copied
+        base = self._base
+        cursor = start
+        for offset, count in zip(entries["offset"].tolist(), counts.tolist()):
+            stop = cursor + count
+            mid = offset + 8 * count
+            out_t[cursor:stop] = base[offset:mid].view(np.float64)
+            out_v[cursor:stop] = base[mid : mid + 8 * count].view(np.float64)
+            cursor = stop
+        return cursor
 
     def seek_block(self, t: float) -> Optional[Tuple[int, int]]:
         """First (block, offset) whose sample time is >= ``t``, else None."""
@@ -537,11 +517,12 @@ class CaptureReader:
         views stay valid even after :meth:`close` (the mapping is
         unmapped when the last view is garbage-collected).  A signal
         spanning several blocks is copied once into preallocated
-        columns — natively in one pass per segment
-        (:func:`repro.query.kernels.gather_blocks`) when a compiled
-        backend exists.  Signals absent from the capture come back as
-        empty columns (matching :meth:`read_signal`).  This is the
-        batch query executor's read path.
+        columns — verified and copied in one native pass per segment
+        (:meth:`Segment.gather`) when the checksum kernel built, else
+        verified per block and copied with numpy.  Signals absent from
+        the capture come back as empty columns (matching
+        :meth:`read_signal`).  This is the batch query executor's read
+        path.
         """
         want = list(dict.fromkeys(names))  # de-dup, preserve order
         # Directory-only pass: each signal's blocks, in stream order.

@@ -27,6 +27,21 @@ except ImportError:  # pragma: no cover - obs package absent
 RESERVED_PREFIX = "__obs."
 
 
+def check_user_name(name: str) -> None:
+    """Reject a user push of a reserved ``__obs.`` name.
+
+    Raises :class:`ScopeError`: user data can never masquerade as — or
+    collide with — internal telemetry, which enters through the trusted
+    ``push_obs`` entries instead.
+    """
+    if name.startswith(RESERVED_PREFIX):
+        raise ScopeError(
+            f"signal name {name!r} is reserved: the {RESERVED_PREFIX!r} "
+            "namespace carries self-instrumentation samples "
+            "(published via MetricsPublisher, not user pushes)"
+        )
+
+
 class ScopeManager:
     """Registry of scopes sharing one :class:`MainLoop`."""
 
@@ -181,12 +196,7 @@ class ScopeManager:
         here is an error, so user data can never masquerade as — or
         collide with — internal telemetry.
         """
-        if name.startswith(RESERVED_PREFIX):
-            raise ScopeError(
-                f"signal name {name!r} is reserved: the {RESERVED_PREFIX!r} "
-                "namespace carries self-instrumentation samples "
-                "(published via MetricsPublisher, not user pushes)"
-            )
+        check_user_name(name)
         # One clock read serves the tap and every scope's late-drop
         # decision, so what the capture records is exactly what the
         # buffers compared against (bit-exact replay under any clock).
@@ -210,12 +220,7 @@ class ScopeManager:
 
         ``__obs.``-prefixed names are rejected like :meth:`push_sample`.
         """
-        if name.startswith(RESERVED_PREFIX):
-            raise ScopeError(
-                f"signal name {name!r} is reserved: the {RESERVED_PREFIX!r} "
-                "namespace carries self-instrumentation samples "
-                "(published via MetricsPublisher, not user pushes)"
-            )
+        check_user_name(name)
         return self._deliver(name, times, values)
 
     def push_obs(self, name: str, times, values) -> int:

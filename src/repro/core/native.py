@@ -22,10 +22,6 @@ Backend selection is environment-driven and resolved once:
 * ``REPRO_NATIVE=0``  — numpy only; no fusion, no compiled kernels.
 * unset / ``1`` / ``c`` — generated C when a compiler exists, else
   numpy.
-
-``REPRO_DEBUG_ZEROCOPY=1`` additionally arms the zero-copy guards on
-the hot data path (decoder/source pass-through asserts that emitted
-columns are views, not copies).
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ __all__ = [
     "compiler",
     "mode",
     "reset",
-    "zero_copy_debug",
 ]
 
 #: Flags every kernel is compiled with.  ``-ffp-contract=off`` and
@@ -66,7 +61,6 @@ _compiler_probed = False
 _mode: Optional[str] = None
 _libs: Dict[str, Optional[ctypes.CDLL]] = {}
 _build_errors: Dict[str, str] = {}
-_debug: Optional[bool] = None
 
 
 def compiler() -> Optional[str]:
@@ -117,26 +111,17 @@ def fusion_enabled() -> bool:
     ).strip().lower() not in ("0", "off", "numpy")
 
 
-def zero_copy_debug() -> bool:
-    """True when the zero-copy hot-path guards are armed."""
-    global _debug
-    if _debug is None:
-        _debug = bool(os.environ.get("REPRO_DEBUG_ZEROCOPY"))
-    return _debug
-
-
 def reset() -> None:
     """Forget cached mode/compiler/library state (test hook).
 
     Compiled shared objects stay on disk — only the in-process caches
     are dropped, so the next call re-reads the environment.
     """
-    global _mode, _compiler_probed, _compiler, _debug
+    global _mode, _compiler_probed, _compiler
     with _lock:
         _mode = None
         _compiler_probed = False
         _compiler = None
-        _debug = None
         _libs.clear()
         _build_errors.clear()
 

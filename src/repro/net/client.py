@@ -77,6 +77,7 @@ from repro.net.protocol import (
     FrameKind,
     ProtocolError,
     encode_binary_samples,
+    encode_columns,
     encode_hello,
     encode_name_def,
     encode_query,
@@ -340,28 +341,30 @@ class ScopeClient:
         serialised with ``tobytes`` and never touch per-sample Python
         objects.  ``times`` defaults to stamping every sample with the
         client clock's *now*.  Empty batches queue nothing (no queue
-        slot, no writable-watch wakeup).
+        slot, no writable-watch wakeup).  The checks here are the
+        batch's only ones: the wire is little-endian on every host, so
+        the checked columns go straight to
+        :func:`~repro.net.protocol.encode_columns`.
         """
-        v = np.ascontiguousarray(values, dtype=np.float64)
+        v = np.ascontiguousarray(values, dtype="<f8")
         if v.ndim != 1:
             raise ValueError(f"values must be 1-D: shape {v.shape}")
         n = v.shape[0]
         if n == 0:
             return
         if times is None:
-            t = np.full(n, self.clock.now(), dtype=np.float64)
+            t = np.full(n, self.clock.now(), dtype="<f8")
         else:
-            t = np.ascontiguousarray(times, dtype=np.float64)
+            t = np.ascontiguousarray(times, dtype="<f8")
             if t.shape != v.shape:
                 raise ValueError(
                     f"times and values must be equal length: {t.shape} vs {v.shape}"
                 )
         if self.mode == "binary":
-            frame = encode_binary_samples(self._intern(name), t, v)
+            frame = encode_columns(self._intern(name), t, v)
         else:
             frame = encode_samples(t, v, name)
-        if frame:
-            self._enqueue(frame, n)
+        self._enqueue(frame, n)
 
     def _enqueue(self, frame: bytes, nsamples: int) -> None:
         if len(self._pending) >= self.max_queue:
@@ -474,24 +477,18 @@ class ScopeClient:
             )
 
     def _on_readable(self, channel, condition) -> bool:
-        try:
-            chunk = self.endpoint.recv()
-        except (TransportClosed, OSError):
-            self._rx_teardown()
-            self._begin_reconnect()
-            return False
-        if not chunk:
-            # Server session closed under us: a subscriber-only client
-            # has no failing send to notice it, so the read path arms
-            # the reconnect.
-            self._rx_teardown()
-            self._begin_reconnect()
-            return False
         while True:
             try:
+                chunk = self.endpoint.recv()
+                if not chunk:
+                    # Server session closed under us: a subscriber-only
+                    # client has no failing send to notice it, so the
+                    # read path arms the reconnect.
+                    raise TransportClosed("server closed the session")
                 frames = self._rx.feed(chunk)
-            except ProtocolError:
-                # Corrupt server→client stream: treat like a dead link.
+            except (TransportClosed, OSError, ProtocolError):
+                # Dead link, closed session or corrupt server→client
+                # stream: all three reconnect.
                 self._rx_teardown()
                 self._begin_reconnect()
                 return False
@@ -499,11 +496,6 @@ class ScopeClient:
                 self._dispatch_rx(frame)
             if not self.endpoint.readable():
                 return True
-            chunk = self.endpoint.recv()
-            if not chunk:
-                self._rx_teardown()
-                self._begin_reconnect()
-                return False
 
     def _dispatch_rx(self, frame) -> None:
         if frame.kind is FrameKind.SAMPLES:

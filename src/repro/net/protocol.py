@@ -63,6 +63,14 @@ computed by ``zlib`` for columns under its cutover (8 KiB) and by one
 native call above it — the encoder over both columns without joining
 them, the decoder straight from the received ``bytes`` chunk.
 
+Columns are checked once per hop: :func:`as_columns` coerces and
+checks them, and :func:`encode_columns` — the one SAMPLES/DELIVER
+encoder — frames checked columns with a single ``b"".join``.  Callers
+that already hold checked columns (the client's ``send_samples``, the
+router's ``WorkerHandle.deliver``) call it directly;
+:func:`encode_binary_samples` and :func:`encode_deliver` are the two
+steps together.
+
 Both decoders are incremental — network reads arrive in arbitrary
 chunks, so stateful decoders carry partial lines / partial frames
 between reads.  Malformed input raises :class:`ProtocolError` (or
@@ -97,8 +105,10 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "WireDecoder",
+    "as_columns",
     "decode_lines",
     "encode_binary_samples",
+    "encode_columns",
     "encode_control",
     "encode_deliver",
     "encode_hello",
@@ -287,14 +297,49 @@ def encode_name_def(name_id: int, name: str) -> bytes:
     return header + raw
 
 
-def _columns(times, values) -> Tuple[np.ndarray, np.ndarray, int]:
+def as_columns(times, values) -> Tuple[np.ndarray, np.ndarray]:
+    """The one column check: ``(t, v)`` as little-endian float64 1-D
+    columns of equal length, ready for :func:`encode_columns`."""
     t = np.ascontiguousarray(times, dtype="<f8")
     v = np.ascontiguousarray(values, dtype="<f8")
     if t.shape != v.shape or t.ndim != 1:
         raise ValueError(
             f"times and values must be equal-length 1-D: {t.shape} vs {v.shape}"
         )
-    return t, v, t.shape[0]
+    return t, v
+
+
+def encode_columns(
+    name_id: int, t: np.ndarray, v: np.ndarray, now: Optional[float] = None
+) -> bytes:
+    """Frame checked columns (see :func:`as_columns`): SAMPLES, or
+    DELIVER stamped with ``now`` when it is given.
+
+    The one column encoder.  Returns ``b""`` for an empty batch; a
+    batch beyond :data:`MAX_FRAME_SAMPLES` splits here into several
+    frames so any caller-side batch size stays decodable.  Every other
+    batch is one ``b"".join`` of header, delivery instant, the two
+    columns and their crc32 — each column byte is copied once by
+    ``tobytes`` and once by the join.
+    """
+    n = t.shape[0]
+    if n > MAX_FRAME_SAMPLES:
+        step = MAX_FRAME_SAMPLES
+        return b"".join(
+            encode_columns(name_id, t[i : i + step], v[i : i + step], now)
+            for i in range(0, n, step)
+        )
+    if n == 0:
+        return b""
+    if now is None:
+        kind, lead = FrameKind.SAMPLES, b""
+    else:
+        kind, lead = FrameKind.DELIVER, _DELIVER_NOW.pack(float(now))
+    header = FRAME_HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, name_id, n)
+    tb = t.tobytes()
+    vb = v.tobytes()
+    crc = _CRC_TRAILER.pack(crc32_columns(tb, vb))
+    return b"".join((header, lead, tb, vb, crc))
 
 
 def encode_binary_samples(
@@ -302,29 +347,10 @@ def encode_binary_samples(
     times: Sequence[float],
     values: Sequence[float],
 ) -> bytes:
-    """Encode one signal's sample batch as contiguous float64 columns.
-
-    Returns ``b""`` for an empty batch.  Batches beyond
-    :data:`MAX_FRAME_SAMPLES` are split across several frames so any
-    caller-side batch size stays decodable.  The two columns are
-    followed by their crc32.
-    """
-    t, v, n = _columns(times, values)
-    if n == 0:
-        return b""
-    if n <= MAX_FRAME_SAMPLES:
-        header = FRAME_HEADER.pack(
-            MAGIC, PROTOCOL_VERSION, FrameKind.SAMPLES, name_id, n
-        )
-        tb = t.tobytes()
-        vb = v.tobytes()
-        crc = crc32_columns(tb, vb)
-        return header + tb + vb + _CRC_TRAILER.pack(crc)
-    parts = []
-    for start in range(0, n, MAX_FRAME_SAMPLES):
-        sl = slice(start, min(start + MAX_FRAME_SAMPLES, n))
-        parts.append(encode_binary_samples(name_id, t[sl], v[sl]))
-    return b"".join(parts)
+    """Encode one signal's sample batch as contiguous float64 columns
+    followed by their crc32 (:func:`as_columns` + :func:`encode_columns`)."""
+    t, v = as_columns(times, values)
+    return encode_columns(name_id, t, v)
 
 
 def encode_deliver(
@@ -340,22 +366,18 @@ def encode_deliver(
     ``run_through(now)`` before ingesting), then carries the SAMPLES
     columns and their crc32.
     """
-    t, v, n = _columns(times, values)
-    if n == 0:
-        return b""
-    if n <= MAX_FRAME_SAMPLES:
-        header = FRAME_HEADER.pack(
-            MAGIC, PROTOCOL_VERSION, FrameKind.DELIVER, name_id, n
+    t, v = as_columns(times, values)
+    return encode_columns(name_id, t, v, now)
+
+
+def _json_frame(kind: FrameKind, payload: Dict[str, Any]) -> bytes:
+    raw = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    if len(raw) > MAX_CONTROL_BYTES:
+        raise ProtocolError(
+            f"{kind.name.lower()} payload of {len(raw)} bytes exceeds the "
+            f"{MAX_CONTROL_BYTES}-byte cap"
         )
-        tb = t.tobytes()
-        vb = v.tobytes()
-        crc = crc32_columns(tb, vb)
-        return header + _DELIVER_NOW.pack(float(now)) + tb + vb + _CRC_TRAILER.pack(crc)
-    parts = []
-    for start in range(0, n, MAX_FRAME_SAMPLES):
-        sl = slice(start, min(start + MAX_FRAME_SAMPLES, n))
-        parts.append(encode_deliver(name_id, now, t[sl], v[sl]))
-    return b"".join(parts)
+    return FRAME_HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, 0, len(raw)) + raw
 
 
 def encode_control(payload: Dict[str, Any]) -> bytes:
@@ -364,14 +386,7 @@ def encode_control(payload: Dict[str, Any]) -> bytes:
     Binary blobs travel base64-inside-JSON; the whole message is capped
     at :data:`MAX_CONTROL_BYTES`.
     """
-    raw = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    if len(raw) > MAX_CONTROL_BYTES:
-        raise ProtocolError(
-            f"control payload of {len(raw)} bytes exceeds the "
-            f"{MAX_CONTROL_BYTES}-byte cap"
-        )
-    header = FRAME_HEADER.pack(MAGIC, PROTOCOL_VERSION, FrameKind.CONTROL, 0, len(raw))
-    return header + raw
+    return _json_frame(FrameKind.CONTROL, payload)
 
 
 def encode_query(payload: Dict[str, Any]) -> bytes:
@@ -384,14 +399,7 @@ def encode_query(payload: Dict[str, Any]) -> bytes:
     this way — derived columns flow back as ordinary NAME_DEF + SAMPLES
     frames, the same bytes a raw signal would use.
     """
-    raw = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    if len(raw) > MAX_CONTROL_BYTES:
-        raise ProtocolError(
-            f"query payload of {len(raw)} bytes exceeds the "
-            f"{MAX_CONTROL_BYTES}-byte cap"
-        )
-    header = FRAME_HEADER.pack(MAGIC, PROTOCOL_VERSION, FrameKind.QUERY, 0, len(raw))
-    return header + raw
+    return _json_frame(FrameKind.QUERY, payload)
 
 
 class FrameDecoder:

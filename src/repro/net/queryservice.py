@@ -110,7 +110,6 @@ class _SessionTx:
         self._head_offset = 0
         self._watch_id: Optional[int] = None
         self.down = False
-        self.bytes_sent = 0
 
     def intern(self, name: str) -> int:
         """Wire id for ``name``, queueing its NAME_DEF on first use."""
@@ -134,7 +133,6 @@ class _SessionTx:
             except (TransportClosed, OSError):
                 self._mark_down()
                 return
-            self.bytes_sent += sent
             if sent == len(data):
                 return
             self._head_offset = sent
@@ -157,7 +155,6 @@ class _SessionTx:
             except (TransportClosed, OSError):
                 self._mark_down()
                 return
-            self.bytes_sent += sent
             self._head_offset += sent
             if self._head_offset < len(head):
                 self._ensure_watch()

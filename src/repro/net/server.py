@@ -44,9 +44,13 @@ except ImportError:  # pragma: no cover - obs package absent
 #: the instrument catalog is stable across runs.
 _DISCONNECT_REASONS = ("eof", "protocol", "transport", "server")
 
-#: Counter fields folded into the retained aggregate when a client
-#: disconnects, so :meth:`ScopeServer.totals` stays accurate across
-#: connection churn without keeping dead ClientState objects alive.
+#: Per-wakeup receive budget: one readable dispatch drains up to this
+#: many bytes before yielding the loop, so one firehose client cannot
+#: starve the other sources.
+MAX_DRAIN_BYTES = 1 << 20
+
+#: The server's ingest ledger: one aggregate counter cell each, summed
+#: over every session, live or departed.
 _COUNTER_FIELDS = (
     "received",
     "accepted",
@@ -64,12 +68,6 @@ class ClientState:
     endpoint: object
     wire: WireDecoder = field(default_factory=WireDecoder)
     watch_id: Optional[int] = None
-    received: int = 0
-    accepted: int = 0
-    dropped_late: int = 0
-    protocol_errors: int = 0
-    frames: int = 0
-    bytes_received: int = 0
     connected: bool = True
     #: Why the session ended (``None`` while connected): ``"eof"`` —
     #: orderly close from the peer; ``"protocol"`` — malformed stream;
@@ -102,41 +100,25 @@ class ScopeServer:
         signal for it (on the first registered scope / the name's home
         shard) — convenient for exploratory monitoring; off by default
         because the paper's flow registers signals explicitly.
-    max_drain_bytes:
-        Per-wakeup receive budget: one readable dispatch drains up to
-        this many bytes before yielding the loop, so one firehose client
-        cannot starve the other sources.
+
+    One readable dispatch drains at most :data:`MAX_DRAIN_BYTES` from a
+    session before yielding the loop.
     """
 
-    def __init__(
-        self,
-        loop: MainLoop,
-        manager,
-        auto_create: bool = False,
-        max_drain_bytes: int = 1 << 20,
-    ) -> None:
-        if max_drain_bytes <= 0:
-            raise ValueError(f"max_drain_bytes must be positive: {max_drain_bytes}")
+    def __init__(self, loop: MainLoop, manager, auto_create: bool = False) -> None:
         self.loop = loop
         self.manager = manager
         self.auto_create = auto_create
-        self.max_drain_bytes = max_drain_bytes
         self._clients: List[ClientState] = []
-        # Live aggregate cells: incremented at the same ingest sites as
-        # the per-session ints, so a departed session's traffic stays
-        # counted with no fold at disconnect.  totals() is a view over
-        # these, and
-        # register_metrics() mounts the very same cells — one source of
-        # truth for accessors and the ``__obs.`` publisher alike.
+        # The one ledger: aggregate cells, so a departed session's
+        # traffic stays counted with no fold at disconnect.  totals(),
+        # disconnect_reasons and retired_clients are views over them,
+        # and register_metrics() mounts the very same cells — one
+        # source of truth for accessors and the ``__obs.`` publisher.
         self._cells: Dict[str, Counter] = {k: Counter(k) for k in _COUNTER_FIELDS}
         self._reason_cells: Dict[str, Counter] = {
             r: Counter(f"disconnects.{r}") for r in _DISCONNECT_REASONS
         }
-        self.retired_clients = 0
-        #: Departed sessions bucketed by disconnect reason — the fault
-        #: post-mortem ledger ("how many clients did we lose to torn
-        #: streams vs orderly closes?").
-        self.disconnect_reasons: Dict[str, int] = {}
         # Carried-name cache for _ensure_signal: names known to be
         # carried (or auto-created), invalidated on scope add/remove via
         # the manager's topology version.
@@ -184,10 +166,6 @@ class ScopeServer:
             self._clients.remove(state)
         except ValueError:
             return  # already pruned (double disconnect)
-        self.retired_clients += 1
-        self.disconnect_reasons[state.disconnect_reason] = (
-            self.disconnect_reasons.get(state.disconnect_reason, 0) + 1
-        )
         reason_cell = self._reason_cells.get(state.disconnect_reason)
         if reason_cell is None:
             reason_cell = Counter(f"disconnects.{state.disconnect_reason}")
@@ -199,48 +177,52 @@ class ScopeServer:
         """Live (connected) client sessions."""
         return list(self._clients)
 
+    @property
+    def disconnect_reasons(self) -> Dict[str, int]:
+        """Departed sessions by disconnect reason (nonzero counts only) —
+        the fault post-mortem ledger ("how many clients did we lose to
+        torn streams vs orderly closes?")."""
+        return {r: c.value for r, c in self._reason_cells.items() if c.value}
+
+    @property
+    def retired_clients(self) -> int:
+        """Departed sessions, whatever the reason."""
+        return sum(c.value for c in self._reason_cells.values())
+
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
     def _on_readable(self, state: ClientState) -> bool:
+        # Drain what is already buffered before yielding the loop: big
+        # columnar frames span many transport chunks and one wakeup
+        # should consume them all (up to the byte budget).
         endpoint = state.endpoint
-        try:
-            chunk = endpoint.recv()
-        except (OSError, ConnectionError):
-            # The transport died underneath the watch (fault-injected
-            # kill, reset socket): not the peer's goodbye, not a
-            # protocol violation — its own bucket.
-            self.disconnect(state, reason="transport")
-            return False
-        if not chunk:
-            # Peer closed (socket semantics); drop the watch.
-            self.disconnect(state, reason="eof")
-            return False
-        budget = self.max_drain_bytes
-        cells = self._cells
+        budget = MAX_DRAIN_BYTES
         while True:
-            state.bytes_received += len(chunk)
-            cells["bytes_received"].inc(len(chunk))
+            try:
+                chunk = endpoint.recv()
+            except OSError:
+                # The transport died underneath the watch (fault-injected
+                # kill, reset socket): not the peer's goodbye, not a
+                # protocol violation — its own bucket.
+                self.disconnect(state, reason="transport")
+                return False
+            if not chunk:
+                # Peer closed (socket semantics); drop the watch.
+                self.disconnect(state, reason="eof")
+                return False
+            self._cells["bytes_received"].inc(len(chunk))
             budget -= len(chunk)
             try:
                 self._ingest_chunk(state, chunk)
             except (TupleFormatError, ProtocolError):
                 # A malformed stream is a protocol violation: disconnect
                 # rather than guess at framing.
-                state.protocol_errors += 1
-                cells["protocol_errors"].inc()
+                self._cells["protocol_errors"].inc()
                 self.disconnect(state, reason="protocol")
                 return False
-            # Drain what is already buffered before yielding the loop:
-            # big columnar frames span many transport chunks and one
-            # wakeup should consume them all (up to the byte budget).
             if budget <= 0 or not endpoint.readable():
-                break
-            chunk = endpoint.recv()
-            if not chunk:
-                self.disconnect(state, reason="eof")
-                return False
-        return True
+                return True
 
     def _ingest_chunk(self, state: ClientState, chunk: bytes) -> None:
         tuples, frames = state.wire.feed(chunk)
@@ -251,7 +233,6 @@ class ScopeServer:
 
     def _ingest_frame(self, state: ClientState, frame: Frame) -> None:
         """Binary hot path: decoded columns go straight to the manager."""
-        state.frames += 1
         cells = self._cells
         cells["frames"].inc()
         if frame.kind is FrameKind.SAMPLES:
@@ -270,7 +251,6 @@ class ScopeServer:
                     "self-instrumentation"
                 )
             n = len(frame)
-            state.received += n
             cells["received"].inc(n)
             self._ensure_signal(name)
             if _trace is not None and _trace._tracer is not None:
@@ -280,8 +260,6 @@ class ScopeServer:
                     )
             else:
                 accepted = self.manager.push_samples(name, frame.times, frame.values)
-            state.accepted += accepted
-            state.dropped_late += n - accepted
             cells["accepted"].inc(accepted)
             cells["dropped_late"].inc(n - accepted)
         elif frame.kind is FrameKind.NAME_DEF:
@@ -304,7 +282,6 @@ class ScopeServer:
         # Batch the decoded tuples into per-name runs so one manager call
         # (one columnar buffer append) carries a whole run — a batched
         # client frame of N samples costs one push, not N.
-        state.received += len(tuples)
         cells = self._cells
         cells["received"].inc(len(tuples))
         i = 0
@@ -325,8 +302,6 @@ class ScopeServer:
             times = [t.time_ms for t in tuples[i:j]]
             values = [t.value for t in tuples[i:j]]
             accepted = self.manager.push_samples(name, times, values)
-            state.accepted += accepted
-            state.dropped_late += (j - i) - accepted
             cells["accepted"].inc(accepted)
             cells["dropped_late"].inc((j - i) - accepted)
             i = j
@@ -359,8 +334,8 @@ class ScopeServer:
         """Aggregate receive/accept/drop counters, live and departed.
 
         A view over the aggregate counter cells — the same cells
-        :meth:`register_metrics` mounts — which the ingest path keeps
-        equal to the sum over every session, live or departed.
+        :meth:`register_metrics` mounts — which count every session,
+        live or departed.
         """
         return {key: self._cells[key].value for key in _COUNTER_FIELDS}
 

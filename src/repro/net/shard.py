@@ -78,7 +78,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.cells import Counter, cell_property
-from repro.core.manager import RESERVED_PREFIX, ScopeManager
+from repro.core.manager import ScopeManager, check_user_name
 from repro.core.scope import Scope, ScopeError
 from repro.eventloop.loop import MainLoop
 from repro.net.worker import WorkerHandle
@@ -381,12 +381,7 @@ class ShardRouter:
         The self-instrumentation publisher enters through
         :meth:`push_obs`.
         """
-        if name.startswith(RESERVED_PREFIX):
-            raise ScopeError(
-                f"signal name {name!r} is reserved: the {RESERVED_PREFIX!r} "
-                "namespace carries self-instrumentation samples "
-                "(published via MetricsPublisher, not user pushes)"
-            )
+        check_user_name(name)
         return self.push_obs(name, times, values)
 
     def push_obs(self, name: str, times, values) -> int:

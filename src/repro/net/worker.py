@@ -78,15 +78,14 @@ import zlib
 from multiprocessing import get_context
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from repro.capture.format import CaptureFormatError
 from repro.net.protocol import (
     FrameDecoder,
     FrameKind,
     ProtocolError,
+    as_columns,
+    encode_columns,
     encode_control,
-    encode_deliver,
     encode_name_def,
 )
 
@@ -461,13 +460,12 @@ class WorkerHandle:
 
     def deliver(self, now: float, name: str, times, values) -> int:
         """Queue one batch for the worker; returns the offered count."""
-        t = np.ascontiguousarray(times, dtype="<f8")
-        v = np.ascontiguousarray(values, dtype="<f8")
+        t, v = as_columns(times, values)
         n = t.shape[0]
         if n == 0:
             return 0
         self.last_now = max(self.last_now, float(now))
-        self._queue(encode_deliver(self._intern(name), float(now), t, v))
+        self._queue(encode_columns(self._intern(name), t, v, now=now))
         self.samples_sent += n
         return n
 

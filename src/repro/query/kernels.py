@@ -27,13 +27,12 @@ via ``(a OP b || a != a) ? a : b``; comparisons yield 0.0 on NaN;
 ``a*y + (1-a)*x``).
 
 Beyond fused chains, the shared *support* library carries the other
-hot-loop kernels of the data path: the two-pointer sample-and-hold
-**join merge** (replacing sort + two ``searchsorted`` gathers), the
-**strict-monotonicity probe** used by source operators, and the plain
-**block gather** that :meth:`repro.capture.reader.Segment.gather` falls
-back to when the checksum kernel (:mod:`repro.core.checksum`, which
-verifies and gathers in one pass) did not build.  All of them degrade
-to numpy when no native backend exists.
+hot-loop kernels of the query path: the two-pointer sample-and-hold
+**join merge** (replacing sort + two ``searchsorted`` gathers) and the
+**strict-monotonicity probe** used by source operators.  Both degrade
+to numpy when no native backend exists.  The capture reader's block
+gather lives in the checksum kernel (:mod:`repro.core.checksum`),
+which verifies and copies in one pass.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "FusedKernel",
     "JoinKernel",
     "fusable_steps",
-    "gather_blocks",
     "get_fused",
     "is_elementwise",
     "join_kernel",
@@ -384,7 +382,7 @@ def get_fused(steps: Sequence[Step]) -> Optional[FusedKernel]:
 
 
 # ----------------------------------------------------------------------
-# Support library: join merge, monotone probe, block gather
+# Support library: join merge, monotone probe
 # ----------------------------------------------------------------------
 _JOIN_FNS = ("add", "sub", "mul", "div", "min", "max", "lt", "le", "gt", "ge", "eq", "ne")
 
@@ -488,20 +486,6 @@ long long monotone_strict(long long n, const double* t, double last)
         if (!(t[i] > t[i - 1])) return 0;
     return 1;
 }
-
-long long gather_blocks(const char* base, const long long* offsets,
-                        const long long* counts, long long nblocks,
-                        double* out_t, double* out_v)
-{
-    long long cur = 0;
-    for (long long b = 0; b < nblocks; b++) {
-        long long c = counts[b];
-        memcpy((char*)(out_t + cur), base + offsets[b], (size_t)(8 * c));
-        memcpy((char*)(out_v + cur), base + offsets[b] + 8 * c, (size_t)(8 * c));
-        cur += c;
-    }
-    return cur;
-}
 """
 )
 
@@ -522,8 +506,6 @@ def _support() -> Optional[ctypes.CDLL]:
                     fn.argtypes = [_C_LL, _C_P, _C_P, _C_LL, _C_P, _C_P, _C_P, _C_P, _C_P]
                 lib.monotone_strict.restype = _C_LL
                 lib.monotone_strict.argtypes = [_C_LL, _C_P, _C_D]
-                lib.gather_blocks.restype = _C_LL
-                lib.gather_blocks.argtypes = [_C_P, _C_P, _C_P, _C_LL, _C_P, _C_P]
             _support_lib = lib
     return _support_lib
 
@@ -598,31 +580,3 @@ def monotone_strict(times: np.ndarray, last: float) -> Optional[bool]:
     if not times.flags.c_contiguous:
         return None
     return bool(lib.monotone_strict(times.shape[0], times.ctypes.data, last))
-
-
-def gather_blocks(
-    base: np.ndarray,
-    offsets: np.ndarray,
-    counts: np.ndarray,
-    out_t: np.ndarray,
-    out_v: np.ndarray,
-    start: int,
-) -> Optional[int]:
-    """Native block gather into preallocated columns; None → numpy path.
-
-    ``base`` is a uint8 view of one mmapped segment; ``offsets`` and
-    ``counts`` (int64) describe the signal's blocks in stream order;
-    the copy lands at ``out_t[start:]``/``out_v[start:]``.
-    """
-    lib = _support()
-    if lib is None:
-        return None
-    copied = lib.gather_blocks(
-        base.ctypes.data,
-        np.ascontiguousarray(offsets, dtype=np.int64).ctypes.data,
-        np.ascontiguousarray(counts, dtype=np.int64).ctypes.data,
-        offsets.shape[0],
-        out_t.ctypes.data + 8 * start,
-        out_v.ctypes.data + 8 * start,
-    )
-    return int(copied)

@@ -46,7 +46,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core import native
 from repro.core.aggregate import AggregateKind, make_aggregator
 from repro.core.lowpass import LowPassFilter
 from repro.core.trigger import Edge, Trigger
@@ -173,14 +172,6 @@ class SourceOp(Operator):
                 n == 1 or bool(np.all(t[1:] > t[:-1]))
             )
         if ok:
-            if (
-                native.zero_copy_debug()
-                and isinstance(times, np.ndarray)
-                and times.dtype == np.float64
-            ):
-                assert np.shares_memory(t, times), (
-                    f"zero-copy guard: source {self.name!r} copied a batch"
-                )
             self.accepted += n
             self._last = float(t[-1])
             self.emit(_readonly(t), _readonly(v))

@@ -24,7 +24,9 @@ from repro.capture.format import (
     TRAILER_STRUCT,
     unpack_trailer,
 )
+from repro.core import checksum, native
 from repro.core.checksum import CUTOVER
+from repro.query import kernels
 
 pytestmark = pytest.mark.capture
 
@@ -274,6 +276,55 @@ class TestNativeSizedBlocks:
             assert reader.columns_for(["solo"])["solo"][0].shape == (self.SAMPLES,)
             with pytest.raises(CaptureFormatError, match=f"block {block} payload CRC"):
                 reader.columns_for(["multi"])
+
+
+class TestGatherWithoutChecksumKernel:
+    """No checksum kernel (other native code may still be loaded): the
+    reader verifies each block with zlib and copies with numpy."""
+
+    @pytest.fixture
+    def multi_block_store(self, tmp_path):
+        path = tmp_path / "multi"
+        rng = np.random.default_rng(21)
+        with CaptureWriter(path, segment_samples=96) as writer:
+            now = 0.0
+            for _ in range(12):
+                now += 10.0
+                for name in ("a", "b"):
+                    times = np.sort(rng.uniform(now - 5, now, 16))
+                    writer.on_push(name, times, rng.standard_normal(16), now)
+        return path
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        monkeypatch.setattr(checksum, "_native", lambda: None)
+        # The support library stays loaded on a native build.
+        assert (kernels._support() is not None) == native.available()
+
+    def test_columns_equal_the_kernel_gather(self, multi_block_store, monkeypatch):
+        with CaptureReader(multi_block_store) as reader:
+            assert len(reader.segments) > 1
+            assert all(seg.block_count > 2 for seg in reader.segments)
+            want = {
+                name: (t.tobytes(), v.tobytes())
+                for name, (t, v) in reader.columns_for(["a", "b"]).items()
+            }
+        monkeypatch.setattr(checksum, "_native", lambda: None)
+        with CaptureReader(multi_block_store) as reader:
+            got = reader.columns_for(["a", "b"])
+        assert {n: (t.tobytes(), v.tobytes()) for n, (t, v) in got.items()} == want
+
+    def test_flipped_payload_byte_fails_closed(self, multi_block_store, no_kernel):
+        segment = sorted(multi_block_store.glob("*.gseg"))[0]
+        with CaptureReader(multi_block_store) as reader:
+            entry = reader.segments[0].directory[2]
+        raw = bytearray(segment.read_bytes())
+        raw[int(entry["offset"]) + 8 * int(entry["count"]) + 3] ^= 0x10
+        segment.write_bytes(bytes(raw))
+        with CaptureReader(multi_block_store) as reader:
+            name = reader.segments[0].names[int(entry["name_id"])]
+            with pytest.raises(CaptureFormatError, match="block 2 payload CRC"):
+                reader.columns_for([name])
 
 
 class TestCrashRecovery:

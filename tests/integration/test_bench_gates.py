@@ -59,6 +59,14 @@ def test_fanout(gates):
     assert bench_fanout(2, 4096, 1024)["fanned_samples"] == 2 * 4096
 
 
+def test_fanout_marginal(gates):
+    ((single, many),), marginal = gates.fanout_marginal(1, 2, 4096, 1024)
+    assert many["fanned_samples"] == 2 * 4096
+    # One extra subscriber over four batches.
+    extra = many["seconds"] - single["seconds"]
+    assert marginal == pytest.approx(extra / 4 * 1e6)
+
+
 def test_process_ingest(gates):
     result = gates.bench_process_ingest(1, total_samples=2048)
     assert result["samples"] == 2048

@@ -6,6 +6,38 @@ from repro.core.manager import ScopeManager
 from repro.core.signal import buffer_signal
 from repro.eventloop.loop import MainLoop
 from repro.net import ScopeClient, ScopeServer, memory_pair, socket_pair
+from repro.net.protocol import (
+    encode_binary_samples,
+    encode_hello,
+    encode_name_def,
+    encode_query,
+)
+
+
+class ResetOnSecondRecv:
+    """An endpoint that hands out one chunk, still reports itself
+    readable, then fails its next ``recv`` like a reset socket."""
+
+    def __init__(self, chunk: bytes) -> None:
+        self._chunks = [chunk]
+        self.closed = False
+
+    def readable(self) -> bool:
+        return not self.closed
+
+    def writable(self) -> bool:
+        return not self.closed
+
+    def recv(self, max_bytes: int = 65536) -> bytes:
+        if self._chunks:
+            return self._chunks.pop()
+        raise ConnectionResetError("connection reset by peer")
+
+    def send(self, data: bytes) -> int:
+        return len(data)
+
+    def close(self) -> None:
+        self.closed = True
 
 
 def make_world(delay_ms=100.0, latency_ms=0.0, auto_create=False):
@@ -100,6 +132,24 @@ class TestProtocolErrors:
         assert server.retired_clients == 1
         assert server.totals()["protocol_errors"] == 1
 
+    def test_reset_mid_drain_disconnects_as_transport(self):
+        loop, scope, server, _ = make_world(delay_ms=1e9)
+        stub = ResetOnSecondRecv(
+            encode_hello()
+            + encode_name_def(0, "metric")
+            + encode_binary_samples(0, [1.0, 2.0], [5.0, 6.0])
+        )
+        state = server.add_client(stub)
+        loop.run_for(50)
+        # The drain loop's second recv raised: the session ends with a
+        # reason, inside the dispatch, and what arrived first counts.
+        assert state not in server.clients
+        assert state.disconnect_reason == "transport"
+        assert server.disconnect_reasons == {"transport": 1}
+        assert server.retired_clients == 1
+        assert stub.closed
+        assert server.totals()["accepted"] == 2
+
     def test_unknown_signal_counted_not_crashed(self):
         loop, scope, server, client = make_world()
         client.send_sample("ghost", 1.0)
@@ -158,6 +208,32 @@ class TestClientBehaviour:
         client.close()
         # Any watches the client registered must be gone or inert.
         loop.run_for(200)
+
+
+class TestSubscriberReadLoop:
+    def test_reset_mid_drain_tears_down_and_reconnects(self):
+        loop = MainLoop()
+        manager = ScopeManager(loop)
+        manager.scope_new("rig", delay_ms=1e9).signal_new(buffer_signal("a"))
+        server = ScopeServer(loop, manager)
+        stub = ResetOnSecondRecv(encode_query({"op": "compiled", "id": "q0"}))
+
+        def connect():
+            near, far = memory_pair(loop.clock)
+            server.add_client(far)
+            return near
+
+        client = ScopeClient(stub, loop, connect=connect, backoff_seed=3)
+        sub = client.subscribe("y = a")
+        loop.run_for(1.0)
+        # The first chunk was decoded; the reset on the second recv
+        # tore the link down and armed a reconnect.
+        assert sub.acked
+        assert stub.closed
+        assert client.reconnecting
+        loop.run_for(500.0)
+        assert client.reconnects == 1
+        assert sub.subscribed and sub.error is None
 
 
 class TestBatchedSend:

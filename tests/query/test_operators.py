@@ -72,6 +72,41 @@ class TestJoin:
         assert t.shape[0] == 0
 
 
+class TestZeroCopySource:
+    """A source operator passes a monotone batch through as read-only
+    views of the caller's buffers; only a batch it must filter is
+    copied."""
+
+    @staticmethod
+    def emitted(times, values):
+        runtime = Runtime(compile_query("y = x"))
+        got = []
+        runtime.add_sink("y", lambda t, v: got.append((t, v)))
+        runtime.feed("x", times, values)
+        return got
+
+    @staticmethod
+    def frozen(column):
+        return np.frombuffer(np.asarray(column, dtype=np.float64).tobytes())
+
+    def test_monotone_batch_is_emitted_without_a_copy(self):
+        times = self.frozen([1.0, 2.0, 3.0, 5.0])
+        values = self.frozen([0.5, -1.0, 2.0, 4.0])
+        assert not times.flags.writeable
+        ((t, v),) = self.emitted(times, values)
+        assert np.shares_memory(t, times) and np.shares_memory(v, values)
+        assert not t.flags.writeable and not v.flags.writeable
+        assert t.tolist() == times.tolist() and v.tolist() == values.tolist()
+
+    def test_non_monotone_batch_is_copied(self):
+        times = self.frozen([1.0, 3.0, 2.0, 5.0])
+        values = self.frozen([0.5, -1.0, 2.0, 4.0])
+        ((t, v),) = self.emitted(times, values)
+        assert t.tolist() == [1.0, 3.0, 5.0] and v.tolist() == [0.5, -1.0, 4.0]
+        assert not np.shares_memory(t, times)
+        assert not np.shares_memory(v, values)
+
+
 class TestMonotonicity:
     def test_out_of_order_samples_dropped_and_counted(self):
         plan = compile_query("x + 0")
