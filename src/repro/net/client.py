@@ -6,9 +6,18 @@ asynchronously send BUFFER signal data in tuple format to the server."
 A :class:`ScopeClient` wraps an endpoint and timestamps outgoing samples
 with its local clock (remote machines have their own clocks; the
 display-delay mechanism absorbs skew up to the configured delay).  Sends
-are asynchronous: samples queue locally and drain through an I/O watch
-when the transport is writable, keeping the application single-threaded
-and non-blocking, as Section 4.3 prescribes.
+are asynchronous and corked: :meth:`~ScopeClient.send_samples` encodes
+one frame and queues it, and the transport is written once per loop
+iteration, by an I/O watch that fires when the endpoint is writable.
+The application stays single-threaded and non-blocking, as Section 4.3
+prescribes, and pays for encoding only.
+
+One watch dispatch writes everything queued while the transport takes
+it.  Each ``send`` joins whole frames while the write stays within
+:data:`~repro.net.transport.CHUNK_BYTES`, the size of one ``recv`` at
+the server: sixteen 128-sample frames go out in one write.  A frame
+goes alone only when a neighbour would push the write past the limit,
+and a frame written alone is not copied.
 
 Two wire modes (see :mod:`repro.net.protocol`):
 
@@ -22,24 +31,29 @@ Two wire modes (see :mod:`repro.net.protocol`):
 
 Control frames (the HELLO handshake and name definitions) live in a
 separate queue that back-pressure never drops — dropping a ``NAME_DEF``
-would orphan every later frame that references its id.  The data-frame
-queue is bounded by ``max_queue``; overflow drops the oldest whole frame,
-except a partially-transmitted head frame, which is never dropped (that
-would cut the byte stream mid-frame and corrupt the connection).
+would orphan every later frame that references its id — and go out
+ahead of queued data.  QUERY frames are the exception to "ahead":
+:meth:`~ScopeClient.subscribe` writes the data already queued first, so
+a subscription starts after the samples sent before it.  The data-frame
+queue is bounded by ``max_queue``; overflow first tries the transport,
+then drops the oldest whole frame, except a partially-transmitted head
+frame, which is never dropped (that would cut the byte stream mid-frame
+and corrupt the connection).
 
 Reconnect
 ---------
 
 Given a ``connect`` factory, the client survives a dead connection: it
 notices (a failed send, or an endpoint reporting itself/its peer closed
-during a flush), tears down the watch, and retries ``connect()`` under
-capped exponential backoff with seeded jitter.  On success it re-runs
-the session preamble — HELLO plus every ``NAME_DEF`` already interned,
-in id order, since the new server session has no memory of the old — and
-resends the head data frame *from byte zero*.  That is safe precisely
-because queued frames keep their full bytes until fully transmitted:
-fully-sent frames were popped (at-most-once per connection), and a
-half-sent head lands on a fresh session that never saw its first half.
+when a frame is queued or written), tears down the watch, and retries
+``connect()`` under capped exponential backoff with seeded jitter.  On
+success it re-runs the session preamble — HELLO plus every ``NAME_DEF``
+already interned, in id order, since the new server session has no
+memory of the old — and resends the head data frame *from byte zero*.
+That is safe precisely because queued frames keep their full bytes
+until fully transmitted: fully-sent frames were popped (at-most-once
+per connection), and a half-sent head lands on a fresh session that
+never saw its first half.
 Data queued while down obeys the same bounded-queue overflow rule, so a
 long outage degrades exactly like slow-consumer backpressure: oldest
 frames drop, counted, freshest data survives to be displayed.
@@ -64,6 +78,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import islice
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -84,7 +99,7 @@ from repro.net.protocol import (
     encode_sample,
     encode_samples,
 )
-from repro.net.transport import TransportClosed
+from repro.net.transport import CHUNK_BYTES, TransportClosed
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 
@@ -337,6 +352,13 @@ class ScopeClient:
     ) -> None:
         """Queue a batch of one signal's samples as a single wire frame.
 
+        One call encodes one frame and queues it; nothing is written
+        here.  The writable watch writes the queue once per loop
+        iteration, joined into as few ``send`` calls as the transport
+        takes (see the module notes).  A dead link is noticed here all
+        the same, so a reconnect starts without waiting on a watch that
+        a dead link never fires.
+
         Accepts ndarrays directly — in binary mode the columns are
         serialised with ``tobytes`` and never touch per-sample Python
         objects.  ``times`` defaults to stamping every sample with the
@@ -368,6 +390,10 @@ class ScopeClient:
 
     def _enqueue(self, frame: bytes, nsamples: int) -> None:
         if len(self._pending) >= self.max_queue:
+            # A corked queue may only be waiting for the loop: offer it
+            # to the transport before shedding anything.
+            self._try_flush()
+        if len(self._pending) >= self.max_queue:
             # Drop the oldest *whole* frame.  A partially-sent head frame
             # must survive — truncating it mid-frame would desynchronise
             # the byte stream and the server would disconnect us.
@@ -383,11 +409,17 @@ class ScopeClient:
             # else: the only queued frame is mid-transmission; overshoot
             # the bound by one frame rather than corrupt the stream.
         self._pending.append([frame, nsamples, 0])
-        self._ensure_watch()
-        self._try_flush()
+        self._arm()
 
-    def _ensure_watch(self) -> None:
-        if (
+    def _arm(self) -> None:
+        """See queued frames out: a reconnect when the link is dead (a
+        dead link may never read writable, so a watch would wait on it
+        forever), else the writable watch."""
+        if self._closed:
+            return
+        if self._link_down():
+            self._begin_reconnect()
+        elif (
             self._watch_id is None
             and self._retry_id is None
             and (self._pending or self._control)
@@ -397,7 +429,7 @@ class ScopeClient:
             )
 
     def _on_writable(self, channel, condition) -> bool:
-        self._try_flush()
+        self._try_flush(writable=True)
         if self._watch_id is None:
             return False  # reconnect tore this watch down mid-dispatch
         if not self._pending and not self._control:
@@ -439,14 +471,17 @@ class ScopeClient:
         if on_batch is not None:
             sub.on_batch(on_batch)
         self._subs[qid] = sub
+        # Control frames go out ahead of queued data, so write that data
+        # first: the subscription then starts after the samples sent
+        # before it, as if every send had gone out at once.
+        self._try_flush()
         if not self._hello_queued:
             self._control.append(encode_hello())
             self._hello_queued = True
         self._control.append(self._query_preamble(sub))
         self._control.append(encode_query({"op": "subscribe", "id": qid}))
         self._ensure_rx_watch()
-        self._ensure_watch()
-        self._try_flush()
+        self._arm()
         return sub
 
     def _query_preamble(self, sub: Subscription) -> bytes:
@@ -459,9 +494,9 @@ class ScopeClient:
         self._subs.pop(sub.qid, None)
         if self._closed:
             return
+        self._try_flush()  # data sent before the unsubscribe still counts
         self._control.append(encode_query({"op": "unsubscribe", "id": sub.qid}))
-        self._ensure_watch()
-        self._try_flush()
+        self._arm()
 
     @property
     def subscriptions(self) -> List[Subscription]:
@@ -611,53 +646,96 @@ class ScopeClient:
         # was already popped, so nothing is duplicated.
         if self._pending:
             self._pending[0][2] = 0
-        self._ensure_watch()
-        self._try_flush()
+        self._arm()
         return False  # one-shot timer either way
 
-    def _try_flush(self) -> None:
+    def _try_flush(self, writable: bool = False) -> None:
+        """Write what the transport takes now; a dead link reconnects.
+
+        ``writable`` says the caller has just seen the endpoint writable
+        (the watch's own probe), so the first write skips a second one.
+        """
         if self._closed:
             return
         if self._link_down():
             self._begin_reconnect()
             return
         try:
-            self._drain()
-        except TransportClosed:
+            while (self._pending or self._control) and (
+                writable or self.endpoint.writable()
+            ):
+                writable = False
+                if not self._write():
+                    return  # a short write: the transport is full
+        except BlockingIOError:
+            # The watch's probe went stale: an earlier callback of this
+            # iteration filled the socket.  Nothing was taken; retry on
+            # the next dispatch.
+            return
+        except OSError:  # TransportClosed, or a reset/broken socket
             self._begin_reconnect()
 
-    def _drain(self) -> None:
-        # Control frames flush before data — a NAME_DEF must precede the
-        # first data frame referencing its id — EXCEPT while a data
-        # frame is partially transmitted: its remaining bytes must go
-        # out first, or the control bytes would land mid-frame and
-        # desynchronise the stream.
+    def _write(self) -> bool:
+        """One ``send`` of queued frames; True if the transport took it all.
+
+        Wire order: the rest of a partly sent head frame (anything else
+        would land mid-frame and desynchronise the stream), then the
+        control frames (a NAME_DEF must precede the first data frame
+        using its id), then data frames — but data only once every
+        control frame is in.  Whole frames join while the write stays
+        within :data:`CHUNK_BYTES`; the first frame goes even when it is
+        longer, alone and uncopied.  A short write leaves the cut frame
+        queued with its full bytes and its offset (a reconnect resends
+        it from byte 0); every frame the transport took is popped.
+        """
+        control = self._control
+        pending = self._pending
+        parts: List[bytes] = []
+        queues: List[Deque] = []
+        size = 0
+        first = 0
+        if self._head_partial:
+            frame, _, offset = pending[0]
+            parts.append(frame[offset:])
+            queues.append(pending)
+            size = len(parts[0])
+            first = 1
+        for buf in control:
+            if parts and size + len(buf) > CHUNK_BYTES:
+                break
+            parts.append(buf)
+            queues.append(control)
+            size += len(buf)
+        else:
+            for entry in islice(pending, first, None):
+                frame = entry[0]
+                if parts and size + len(frame) > CHUNK_BYTES:
+                    break
+                parts.append(frame)
+                queues.append(pending)
+                size += len(frame)
+        sent = self.endpoint.send(parts[0] if len(parts) == 1 else b"".join(parts))
         cells = self._cells
-        while self.endpoint.writable():
-            if self._control and not self._head_partial:
-                buf = self._control[0]
-                sent = self.endpoint.send(buf)
-                cells["bytes_sent"].inc(sent)
-                if sent < len(buf):
-                    self._control[0] = buf[sent:]
-                    return
-                self._control.popleft()
-                continue
-            if not self._pending:
-                return
-            head = self._pending[0]
-            frame, nsamples, offset = head
-            sent = self.endpoint.send(frame[offset:])
-            cells["bytes_sent"].inc(sent)
-            offset += sent
-            if offset < len(frame):
-                # Partial write: remember how far we got, keep the full
-                # frame bytes (a reconnect resends from byte 0).
-                head[2] = offset
-                return
-            self._pending.popleft()
-            cells["sent"].inc(nsamples)
-            cells["sent_frames"].inc()
+        cells["bytes_sent"].inc(sent)
+        whole = sent == size
+        samples = frames = 0
+        for part, queue in zip(parts, queues):
+            if sent < len(part):
+                if queue is control:
+                    control[0] = part[sent:]
+                else:
+                    pending[0][2] += sent
+                break
+            sent -= len(part)
+            if queue is control:
+                control.popleft()
+            else:
+                samples += pending.popleft()[1]
+                frames += 1
+        if frames:
+            cells["sent"].inc(samples)
+            cells["sent_frames"].inc(frames)
+        return whole
 
     @property
     def backlog(self) -> int:
@@ -701,7 +779,9 @@ class ScopeClient:
         )
 
     def close(self) -> None:
-        """Close for good: stop the watches, cancel any reconnect."""
+        """Close for good: hand the transport what it takes of the queue,
+        then stop the watches and cancel any reconnect."""
+        self._try_flush()
         self._closed = True
         if self._watch_id is not None:
             self.loop.remove(self._watch_id)

@@ -46,7 +46,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.eventloop.clock import Clock
-from repro.net.transport import LatencyLink, MemoryEndpoint, TransportClosed
+from repro.net.transport import (
+    CHUNK_BYTES,
+    LatencyLink,
+    MemoryEndpoint,
+    TransportClosed,
+)
 
 __all__ = ["FaultPlan", "FaultyLink", "faulty_pair"]
 
@@ -270,7 +275,7 @@ class FaultyLink:
         self._sync()
         return self._inner.readable()
 
-    def recv(self, max_bytes: int = 65536) -> bytes:
+    def recv(self, max_bytes: int = CHUNK_BYTES) -> bytes:
         self._sync()
         return self._inner.recv(max_bytes)
 

@@ -251,9 +251,24 @@ class FrameKind(enum.IntEnum):
     QUERY = 5  # JSON continuous-query channel (subscribe plane)
 
 
-@dataclass(frozen=True)
+#: Kind byte → member, and the members the decoder compares against:
+#: a tuple index and module names cost a fraction of ``FrameKind(raw)``
+#: and of an enum class-attribute read, once per decoded frame.
+_KINDS = tuple(FrameKind)
+_NAME_DEF = FrameKind.NAME_DEF
+_SAMPLES = FrameKind.SAMPLES
+_DELIVER = FrameKind.DELIVER
+_CONTROL = FrameKind.CONTROL
+_QUERY = FrameKind.QUERY
+
+
+@dataclass(slots=True)
 class Frame:
-    """One decoded binary frame."""
+    """One decoded binary frame.
+
+    Not frozen: the decoder builds one per frame, and a frozen
+    dataclass's ``__init__`` costs about twice as much.
+    """
 
     kind: FrameKind
     name_id: int
@@ -486,10 +501,11 @@ class FrameDecoder:
                 f"(speak {PROTOCOL_VERSION})"
             )
         try:
-            kind = FrameKind(kind_raw)
-        except ValueError:
+            kind = _KINDS[kind_raw]
+        except IndexError:
             raise ProtocolError(f"unknown frame kind: {kind_raw}") from None
-        if kind in (FrameKind.SAMPLES, FrameKind.DELIVER):
+        columns = kind is _SAMPLES or kind is _DELIVER
+        if columns:
             if count > MAX_FRAME_SAMPLES:
                 raise ProtocolError(
                     f"{kind.name} frame of {count} samples exceeds the "
@@ -497,9 +513,9 @@ class FrameDecoder:
                 )
             # Columns carry a trailing crc32; DELIVER also leads with
             # the float64 delivery instant.
-            lead = _DELIVER_NOW.size if kind is FrameKind.DELIVER else 0
+            lead = _DELIVER_NOW.size if kind is _DELIVER else 0
             payload_size = lead + 16 * count + _CRC_TRAILER.size
-        elif kind in (FrameKind.CONTROL, FrameKind.QUERY):
+        elif kind is _CONTROL or kind is _QUERY:
             if count > MAX_CONTROL_BYTES:
                 raise ProtocolError(
                     f"{kind.name} payload of {count} bytes exceeds the "
@@ -517,7 +533,7 @@ class FrameDecoder:
         end = start + payload_size
         if len(buf) < end:
             return None
-        if kind in (FrameKind.SAMPLES, FrameKind.DELIVER):
+        if columns:
             if copy_payload:
                 # Detach from the carry buffer before it compacts.
                 source: bytes = bytes(memoryview(buf)[start:end])
@@ -526,9 +542,9 @@ class FrameDecoder:
                 source = buf
                 offset = start
             now: Optional[float] = None
-            if kind is FrameKind.DELIVER:
+            if lead:
                 (now,) = _DELIVER_NOW.unpack_from(source, offset)
-                offset += _DELIVER_NOW.size
+                offset += lead
             (expect,) = _CRC_TRAILER.unpack_from(source, offset + 16 * count)
             if crc32(source, 0, offset, 16 * count) != expect:
                 raise ProtocolError(
@@ -539,17 +555,8 @@ class FrameDecoder:
             values = np.frombuffer(
                 source, dtype="<f8", count=count, offset=offset + 8 * count
             )
-            return (
-                Frame(
-                    kind=kind,
-                    name_id=name_id,
-                    times=times,
-                    values=values,
-                    now=now,
-                ),
-                end,
-            )
-        if kind in (FrameKind.CONTROL, FrameKind.QUERY):
+            return Frame(kind, name_id, None, times, values, now), end
+        if kind is _CONTROL or kind is _QUERY:
             try:
                 control = json.loads(bytes(memoryview(buf)[start:end]).decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -565,7 +572,7 @@ class FrameDecoder:
                 Frame(kind=kind, name_id=name_id, control=control),
                 end,
             )
-        if kind is FrameKind.NAME_DEF:
+        if kind is _NAME_DEF:
             try:
                 name = bytes(memoryview(buf)[start:end]).decode("utf-8")
             except UnicodeDecodeError as exc:

@@ -822,7 +822,7 @@ class ProcessShardedScopeManager(WorkerPlane):
         super().__init__(shards, loop)
 
     def _spawn(self, shard_id: int, now: float) -> WorkerHandle:
-        return WorkerHandle(shard_id, self.scope_factory)
+        return WorkerHandle(shard_id, self.scope_factory, loop=self.loop)
 
     # -- push (async) ---------------------------------------------------
     def push_samples(self, name: str, times, values) -> int:

@@ -739,6 +739,7 @@ class ProcessShardSupervisor(SupervisedRouter, WorkerPlane):
             wal_path=self._wals[shard_id].path,
             state_path=self.state_path(shard_id),
             start_now=now,
+            loop=self.loop,
         )
 
     def _send(self, shard_id: int, now: float, name: str, times, values) -> int:

@@ -15,11 +15,18 @@ Both endpoint kinds satisfy the
 
 from __future__ import annotations
 
+import select
 import socket
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
 from repro.eventloop.clock import Clock
+
+#: The most bytes one endpoint ``recv`` returns, and so the most the
+#: client's send queue joins into one ``send`` (a joined write is one
+#: read at the server).  A worker link's pending buffer is written at
+#: once when it reaches this size.
+CHUNK_BYTES = 1 << 16
 
 
 class TransportClosed(ConnectionError):
@@ -89,7 +96,7 @@ class LatencyLink:
         self._settle()
         return len(self._delivered) > self._read_pos
 
-    def recv(self, max_bytes: int = 65536) -> bytes:
+    def recv(self, max_bytes: int = CHUNK_BYTES) -> bytes:
         self._settle()
         start = self._read_pos
         end = min(start + max_bytes, len(self._delivered))
@@ -173,7 +180,7 @@ class MemoryEndpoint:
         self.bytes_sent += len(data)
         return len(data)
 
-    def recv(self, max_bytes: int = 65536) -> bytes:
+    def recv(self, max_bytes: int = CHUNK_BYTES) -> bytes:
         if self.closed:
             raise TransportClosed(f"endpoint {self.label!r} is closed")
         chunk = self._in.recv(max_bytes)
@@ -219,16 +226,12 @@ class SocketEndpoint:
     def readable(self) -> bool:
         if self.closed:
             return False
-        import select
-
         ready, _, _ = select.select([self.sock], [], [], 0)
         return bool(ready)
 
     def writable(self) -> bool:
         if self.closed:
             return False
-        import select
-
         _, ready, _ = select.select([], [self.sock], [], 0)
         return bool(ready)
 
@@ -239,7 +242,7 @@ class SocketEndpoint:
         self.bytes_sent += sent
         return sent
 
-    def recv(self, max_bytes: int = 65536) -> bytes:
+    def recv(self, max_bytes: int = CHUNK_BYTES) -> bytes:
         if self.closed:
             raise TransportClosed(f"socket endpoint {self.label!r} is closed")
         try:

@@ -15,6 +15,23 @@ This module puts each shard on a real **process**:
   push instant, and ``CONTROL`` frames carry the JSON supervision side
   channel (heartbeats, stats, snapshot/shutdown).
 
+Router-side writes
+------------------
+
+The router queues and a watch writes.  :meth:`WorkerHandle.deliver` and
+:meth:`~WorkerHandle.advance` append their frames to the handle's
+pending buffer and write nothing until it holds
+:data:`~repro.net.transport.CHUNK_BYTES`; then the buffer is written at
+once.  Otherwise a writable watch on the router loop — the one the
+plane already runs, handed to every handle it spawns — writes it once
+per loop iteration.  Each write offers everything pending to the socket
+in one ``send``.  :meth:`~WorkerHandle.flush` and every request
+(``drain``, ``stats``, ``snapshot``, ``shutdown``) write the whole
+buffer before they return or wait, and past :data:`MAX_PENDING_BYTES`
+(4 MiB) a push blocks on the socket (per-shard backpressure).  Queueing
+moves no byte: the stream the child reads is the stream an unbuffered
+writer would send.
+
 Delivery timeline
 -----------------
 
@@ -79,6 +96,8 @@ from multiprocessing import get_context
 from typing import Any, Dict, List, Optional
 
 from repro.capture.format import CaptureFormatError
+from repro.eventloop.loop import MainLoop
+from repro.eventloop.sources import IOCondition
 from repro.net.protocol import (
     FrameDecoder,
     FrameKind,
@@ -88,6 +107,7 @@ from repro.net.protocol import (
     encode_control,
     encode_name_def,
 )
+from repro.net.transport import CHUNK_BYTES
 
 __all__ = [
     "HEARTBEAT_S",
@@ -109,8 +129,6 @@ MAX_PENDING_BYTES = 4 << 20
 #: Real seconds a new handle waits for the child's ``ready`` (restore
 #: and WAL replay included).
 READY_TIMEOUT_S = 60.0
-#: Sent-prefix size past which a backed-up pending buffer is compacted.
-_COMPACT_BYTES = 1 << 16
 
 #: Shard state header: magic, format version, payload length, crc32 of
 #: the payload (little-endian); the pickled snapshot dict follows.
@@ -300,7 +318,11 @@ class WorkerHandle:
     """Router-side handle on one worker process.
 
     Owns the process, the socket and the per-connection name interning.
-    Writes are non-blocking with a bounded pending buffer: past
+    Writes are corked (see the module notes): frames queue in a pending
+    buffer that is written once it holds
+    :data:`~repro.net.transport.CHUNK_BYTES`, by a writable watch on
+    ``loop`` (the router loop of the plane that spawns the handle) once
+    per iteration, and by :meth:`flush` and every request.  Past
     :data:`MAX_PENDING_BYTES` the handle *blocks* on the socket
     (per-shard backpressure) instead of growing router memory without
     bound, and the already-sent prefix of a backed-up buffer is released
@@ -316,6 +338,7 @@ class WorkerHandle:
         self,
         shard_id: int,
         scope_factory,
+        loop: MainLoop,
         wal_path: Optional[str] = None,
         state_path: Optional[str] = None,
         start_now: float = 0.0,
@@ -341,6 +364,8 @@ class WorkerHandle:
         self.sock = parent_sock
         self._pending = bytearray()
         self._pending_pos = 0
+        self._loop = loop
+        self._watch_id: Optional[int] = None
         self._decoder = FrameDecoder()
         self._inbox: List[Dict[str, Any]] = []
         self._name_ids: Dict[str, int] = {}
@@ -388,13 +413,33 @@ class WorkerHandle:
         return len(self._pending) - self._pending_pos
 
     # -- outbound -------------------------------------------------------
+    def readable(self) -> bool:
+        """True when the child's bytes wait in the socket (Pollable)."""
+        return bool(select.select([self.sock], [], [], 0)[0])
+
+    def writable(self) -> bool:
+        """True when the socket takes bytes without blocking (Pollable)."""
+        return bool(select.select([], [self.sock], [], 0)[1])
+
     def _queue(self, data: bytes) -> None:
         if self.link_down:
             return  # child is gone; the WAL (if any) holds the truth
         self._pending += data
+        if self.pending_bytes >= CHUNK_BYTES:
+            self._flush_some()
+            if self.pending_bytes > MAX_PENDING_BYTES:
+                self._flush_until(MAX_PENDING_BYTES, timeout_s=60.0)
+        if self._watch_id is None and self.pending_bytes:
+            self._watch_id = self._loop.io_add_watch(
+                self, IOCondition.OUT, self._on_writable
+            )
+
+    def _on_writable(self, channel, condition) -> bool:
         self._flush_some()
-        if self.pending_bytes > MAX_PENDING_BYTES:
-            self._flush_until(MAX_PENDING_BYTES, timeout_s=60.0)
+        if self.pending_bytes:
+            return True
+        self._watch_id = None
+        return False
 
     def _flush_some(self) -> None:
         """Write as much pending as the socket takes without blocking."""
@@ -414,7 +459,7 @@ class WorkerHandle:
         if pos == len(self._pending):
             self._pending = bytearray()
             self._pending_pos = 0
-        elif pos > _COMPACT_BYTES and pos * 2 > len(self._pending):
+        elif pos > CHUNK_BYTES and pos * 2 > len(self._pending):
             # A backed-up socket: release the sent prefix once it
             # dominates (the FrameDecoder/LatencyLink rule), so router
             # memory stays bounded while the worker lags.
@@ -482,7 +527,7 @@ class WorkerHandle:
         """Drain whatever the child has sent; file control replies."""
         while not self._eof:
             try:
-                chunk = self.sock.recv(1 << 16)
+                chunk = self.sock.recv(CHUNK_BYTES)
             except (BlockingIOError, InterruptedError):
                 return
             except OSError:
@@ -620,6 +665,9 @@ class WorkerHandle:
         finally:
             if self.process.is_alive():
                 self.kill()
+            if self._watch_id is not None:
+                self._loop.remove(self._watch_id)
+                self._watch_id = None
             try:
                 self.sock.close()
             except OSError:

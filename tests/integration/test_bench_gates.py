@@ -41,6 +41,17 @@ def test_wire(gates):
     assert gates.bench_wire("binary", 4096)["samples"] == 4096
 
 
+def test_wire_socket(gates):
+    """X10b: a real socketpair, pumped as the client sends."""
+    result = gates.bench_wire("binary", 4096, transport="socket")
+    assert result["samples"] == 4096
+
+
+def test_wire_sharded(gates):
+    """X10c: 16 signals into 4 in-process shards."""
+    assert gates.bench_wire("binary", 4096, signals=16, shards=4)["samples"] == 4096
+
+
 def test_capture_write(gates):
     assert gates.bench_write(4000)["samples"] == 4000
 

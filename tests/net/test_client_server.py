@@ -1,5 +1,6 @@
 """End-to-end tests for the distributed client/server library (§4.4)."""
 
+import numpy as np
 import pytest
 
 from repro.core.manager import ScopeManager
@@ -12,6 +13,34 @@ from repro.net.protocol import (
     encode_name_def,
     encode_query,
 )
+
+
+class RecordingEndpoint:
+    """A writable endpoint that takes at most ``accept`` bytes per send
+    (all of them when None) and keeps every byte it took, in order."""
+
+    def __init__(self, accept=None) -> None:
+        self.accept = accept
+        self.sends = []  # the length offered to each send call
+        self.stream = bytearray()
+        self.closed = False
+        self.peer_closed = False
+
+    def readable(self) -> bool:
+        return False
+
+    def writable(self) -> bool:
+        return not self.closed
+
+    def send(self, data) -> int:
+        data = bytes(data)
+        taken = len(data) if self.accept is None else min(self.accept, len(data))
+        self.sends.append(len(data))
+        self.stream += data[:taken]
+        return taken
+
+    def close(self) -> None:
+        self.closed = True
 
 
 class ResetOnSecondRecv:
@@ -508,3 +537,233 @@ class TestBinaryWire:
         assert totals["protocol_errors"] == 0
         assert totals["accepted"] == 2
         assert server.clients[0].connected
+
+
+class TestCorkedSend:
+    """``send_samples`` queues; the writable watch writes once per loop
+    iteration, joining whole frames up to one 64 KiB ``send``."""
+
+    @staticmethod
+    def batch(i, n=128):
+        return np.arange(n, dtype=np.float64) + 1000.0 * i, np.full(n, float(i))
+
+    def test_sixteen_small_frames_go_out_in_one_send(self):
+        loop = MainLoop()
+        stub = RecordingEndpoint()
+        client = ScopeClient(stub, loop)
+        expected = encode_hello() + encode_name_def(0, "metric")
+        for i in range(16):
+            values, times = self.batch(i)
+            client.send_samples("metric", values, times=times)
+            expected += encode_binary_samples(0, times, values)
+        assert stub.sends == [] and client.backlog == 16  # queued, not written
+        loop.iteration()
+        assert stub.sends == [len(expected)]
+        assert stub.stream == expected
+        assert client.backlog == 0
+        assert (client.sent, client.sent_frames) == (16 * 128, 16)
+        assert client.bytes_sent == len(expected)
+
+    def test_large_frames_join_only_while_the_write_fits(self):
+        """Two 2048-sample frames overflow one 64 KiB write: each goes
+        alone, except that the small preamble joins the first."""
+        loop = MainLoop()
+        stub = RecordingEndpoint()
+        client = ScopeClient(stub, loop)
+        frames = []
+        for i in range(3):
+            values, times = self.batch(i, n=2048)
+            client.send_samples("metric", values, times=times)
+            frames.append(encode_binary_samples(0, times, values))
+        loop.iteration()
+        preamble = len(encode_hello() + encode_name_def(0, "metric"))
+        assert stub.sends == [preamble + len(frames[0]), len(frames[1]), len(frames[2])]
+        assert client.sent_frames == 3
+
+    @pytest.mark.parametrize("accept", [1, 5, 12, 13, 100, 2063, 4096, 40_000])
+    def test_short_writes_deliver_the_same_frames(self, accept):
+        """Cut anywhere — inside a header, a column, a crc or a control
+        frame — the bytes the transport took are the unbuffered stream,
+        and the server decodes every frame from them."""
+        rng = np.random.default_rng(accept)
+        loop = MainLoop()
+        manager = ScopeManager(loop)
+        scope = manager.scope_new("remote", period_ms=50, delay_ms=1e9)
+        names = ["a", "b", "c"]
+        for name in names:
+            scope.signal_new(buffer_signal(name))
+        server = ScopeServer(loop, manager)
+        near, far = memory_pair(loop.clock)
+        server.add_client(far)
+
+        class Short(RecordingEndpoint):
+            def send(self, data) -> int:
+                taken = super().send(data)
+                return near.send(bytes(data)[:taken])
+
+        stub = Short(accept)
+        client = ScopeClient(stub, loop)
+        control = [encode_hello()]
+        data = []
+        total = 0
+        for _ in range(12):
+            name = names[int(rng.integers(0, 3))]
+            n = int(rng.integers(1, 300))
+            times = np.sort(rng.uniform(0.0, 100.0, n))
+            values = rng.standard_normal(n)
+            if name not in client._name_ids:
+                control.append(encode_name_def(len(client._name_ids), name))
+            client.send_samples(name, values, times=times)
+            data.append(encode_binary_samples(client._name_ids[name], times, values))
+            total += n
+        while client.backlog or client._control:
+            loop.iteration()
+        loop.run_for(1.0)
+        # Control first (NAME_DEFs may move ahead of queued data), then
+        # every data frame in send order.
+        assert stub.stream == b"".join(control + data)
+        assert all(size <= 1 << 16 for size in stub.sends)
+        totals = server.totals()
+        assert totals["protocol_errors"] == 0
+        assert totals["frames"] == len(control) + len(data)
+        assert totals["received"] == totals["accepted"] == client.sent == total
+
+    def test_reconnect_resends_the_cut_frame_from_byte_zero(self):
+        loop = MainLoop()
+        first = RecordingEndpoint()
+        second = RecordingEndpoint()
+        links = iter([second])
+        client = ScopeClient(first, loop, connect=lambda: next(links), backoff_seed=4)
+        frames = []
+        for i in range(3):
+            values, times = self.batch(i, n=4)
+            client.send_samples("metric", values, times=times)
+            frames.append(encode_binary_samples(0, times, values))
+        preamble = encode_hello() + encode_name_def(0, "metric")
+        # One coalesced write, cut 10 bytes into the second frame.
+        first.accept = len(preamble) + len(frames[0]) + 10
+        loop.iteration()
+        assert first.stream == preamble + frames[0] + frames[1][:10]
+        assert (client.sent_frames, client.backlog) == (1, 2)
+        first.peer_closed = True  # the link dies with frame 1 half-sent
+        loop.run_for(500.0)
+        assert first.closed and client.reconnects == 1
+        # The fresh session gets the preamble, the cut frame whole and
+        # the rest — never the frame the old session finished.
+        assert second.stream == preamble + frames[1] + frames[2]
+        assert (client.sent_frames, client.backlog) == (3, 0)
+
+    def test_a_full_socket_is_not_a_dead_link(self):
+        """The watch's writable probe can go stale within one iteration
+        (an earlier callback filled the socket), so its send may raise
+        BlockingIOError: nothing was taken, the link stays up, and the
+        next dispatch writes the queue."""
+
+        class FullOnce(RecordingEndpoint):
+            full = True
+
+            def send(self, data) -> int:
+                if self.full:
+                    self.full = False
+                    raise BlockingIOError
+                return super().send(data)
+
+        loop = MainLoop()
+        stub = FullOnce()
+        client = ScopeClient(stub, loop, connect=RecordingEndpoint, backoff_seed=3)
+        values, times = self.batch(0, n=8)
+        client.send_samples("metric", values, times=times)
+        loop.iteration()
+        assert stub.stream == b"" and client.backlog == 1
+        assert not stub.closed and not client.reconnecting
+        loop.iteration()
+        assert stub.stream == (
+            encode_hello()
+            + encode_name_def(0, "metric")
+            + encode_binary_samples(0, times, values)
+        )
+        assert (client.sent, client.backlog, client.reconnects) == (8, 0, 0)
+        assert not stub.closed
+
+    @pytest.mark.parametrize("accept", [None, 40])
+    def test_close_hands_the_queue_to_the_transport(self, accept):
+        loop = MainLoop()
+        stub = RecordingEndpoint(accept)
+        client = ScopeClient(stub, loop)
+        values, times = self.batch(0, n=8)
+        client.send_samples("metric", values, times=times)
+        client.close()  # no loop iteration in between
+        stream = encode_hello() + encode_name_def(0, "metric")
+        stream += encode_binary_samples(0, times, values)
+        assert stub.stream == stream[:accept]
+        assert stub.closed
+        assert client.sent == (8 if accept is None else 0)
+
+    def test_dead_link_is_noticed_by_send_samples(self):
+        """A link whose outgoing side died never reads writable, so the
+        watch would never fire: the send itself starts the reconnect."""
+        loop, scope, server, _ = make_world(delay_ms=1e9)
+
+        def connect():
+            near, far = memory_pair(loop.clock)
+            server.add_client(far)
+            return near
+
+        near, far = memory_pair(loop.clock)
+        server.add_client(far)
+        client = ScopeClient(near, loop, connect=connect, backoff_seed=2)
+        client.send_samples("metric", [1.0], times=[1.0])
+        loop.run_for(1.0)
+        near._out.close()  # the outgoing link dies under the client
+        assert not near.writable()
+        client.send_samples("metric", [2.0], times=[2.0])
+        assert client.reconnecting  # no loop iteration was needed
+        loop.run_for(500.0)
+        assert client.reconnects == 1
+        assert server.totals()["accepted"] == 2  # one sample per session
+
+    def test_broken_socket_reconnects_from_the_watch(self):
+        """A send on a socket whose peer is gone fails inside the watch
+        dispatch; the client reconnects instead of raising out of the
+        loop iteration."""
+        loop = MainLoop()
+        near, far = socket_pair()
+        far.close()
+        client = ScopeClient(near, loop, connect=lambda: None, backoff_seed=1)
+        try:
+            client.send_samples("metric", [1.0], times=[1.0])
+            loop.iteration()
+            assert client.reconnecting and near.closed
+            assert client.backlog == 1  # kept for the next session
+        finally:
+            client.close()
+
+    def test_overflow_tries_the_transport_before_dropping(self):
+        loop = MainLoop()
+        stub = RecordingEndpoint()
+        client = ScopeClient(stub, loop, max_queue=4)
+        for i in range(10):
+            client.send_sample("metric", float(i), time_ms=0.0)
+        # Every full queue was written, not shed.
+        assert (client.dropped, client.dropped_frames) == (0, 0)
+        assert stub.sends and client.sent + client.backlog == 10
+        loop.iteration()
+        assert client.sent == 10
+
+    def test_subscribe_keeps_its_place_after_queued_data(self):
+        """Control frames jump queued data, but a QUERY must not: the
+        subscription covers the samples sent after it, as when every
+        send went out at once."""
+        loop = MainLoop()
+        manager = ScopeManager(loop)
+        manager.scope_new("rig", delay_ms=1e9).signal_new(buffer_signal("a"))
+        server = ScopeServer(loop, manager, auto_create=True)
+        near, far = memory_pair(loop.clock)
+        server.add_client(far)
+        client = ScopeClient(near, loop)
+        client.send_samples("a", [1.0, 2.0, 3.0], times=[1.0, 2.0, 3.0])
+        sub = client.subscribe("y = a * 10")
+        client.send_samples("a", [4.0], times=[4.0])
+        loop.run_for(100.0)
+        assert sub.subscribed
+        assert sub.columns()[1].tolist() == [40.0]

@@ -416,13 +416,17 @@ def _assert_state_equal(a, b, path=""):
         assert a == b, (path, a, b)
 
 
-def process_run(tmp_path, seed, kill_at, victim=0, rotate_before_kill=False):
+def process_run(
+    tmp_path, seed, kill_at, victim=0, rotate_before_kill=False, kill_queued=False
+):
     """One seeded run over real worker processes; returns (totals, states).
 
     ``kill_at`` is a *virtual* instant: the victim worker takes a real
-    ``SIGKILL`` at the first feed tick at or past it.  The final state is
-    fetched from the workers themselves via the snapshot control, after
-    a drain proves every WAL'd sample was ingested.
+    ``SIGKILL`` at the first feed tick at or past it — before that
+    tick's pushes, or with ``kill_queued`` after them, while their
+    DELIVER bytes still sit in the router's pending buffer.  The final
+    state is fetched from the workers themselves via the snapshot
+    control, after a drain proves every WAL'd sample was ingested.
     """
     rng = random.Random(seed)
     loop = MainLoop()
@@ -440,7 +444,8 @@ def process_run(tmp_path, seed, kill_at, victim=0, rotate_before_kill=False):
         def feed(_lost) -> bool:
             nonlocal killed
             now = loop.clock.now()
-            if kill_at is not None and not killed and now >= kill_at:
+            due = kill_at is not None and not killed and now >= kill_at
+            if due and not kill_queued:
                 if rotate_before_kill:
                     for shard_id in range(N_SHARDS):
                         sup.snapshot_shard(shard_id)
@@ -453,6 +458,10 @@ def process_run(tmp_path, seed, kill_at, victim=0, rotate_before_kill=False):
                 times = sorted(now - rng.uniform(0.0, 240.0) for _ in range(n))
                 values = [rng.uniform(-100.0, 100.0) for _ in range(n)]
                 sup.push_samples(name, np.asarray(times), np.asarray(values))
+            if due and kill_queued:
+                assert sup.handle_of(victim).pending_bytes > 0
+                sup.kill_shard(victim)
+                killed = True
             return True
 
         loop.timeout_add(TICK_MS, feed)
@@ -478,14 +487,25 @@ def assert_process_equivalent(seed, oracle, faulted):
 
 
 @pytest.mark.distributed
-@pytest.mark.parametrize("seed", (3, 11))
-def test_process_worker_sigkill_recovers_byte_identically(seed, tmp_path):
+@pytest.mark.parametrize(
+    "seed, kill_queued",
+    [
+        pytest.param(3, False, id="3"),
+        pytest.param(11, False, id="11"),
+        # The victim dies with the tick's DELIVER frames still queued
+        # router-side: the WAL, not the pending buffer, is the truth.
+        pytest.param(7, True, id="7-queued"),
+    ],
+)
+def test_process_worker_sigkill_recovers_byte_identically(seed, kill_queued, tmp_path):
     """kill -9 mid-stream, respawn + WAL replay == a run that never died."""
     rng = random.Random(seed + 2000)
     kill_at = rng.uniform(400.0, 1100.0)
     victim = rng.randrange(N_SHARDS)
     oracle = process_run(tmp_path / "oracle", seed, kill_at=None)
-    faulted = process_run(tmp_path / "faulted", seed, kill_at, victim=victim)
+    faulted = process_run(
+        tmp_path / "faulted", seed, kill_at, victim=victim, kill_queued=kill_queued
+    )
     assert_process_equivalent(seed, oracle, faulted)
     assert faulted[0]["restarts"] == 1
     assert faulted[0]["replayed_samples"] > 0

@@ -245,6 +245,12 @@ class TestFrameDecoder:
         with pytest.raises(ProtocolError, match="kind"):
             FrameDecoder().feed(frame)
 
+    def test_first_kind_past_the_last_raises(self):
+        kind = max(FrameKind) + 1
+        frame = FRAME_HEADER.pack(MAGIC, PROTOCOL_VERSION, kind, 0, 0)
+        with pytest.raises(ProtocolError, match=f"unknown frame kind: {kind}"):
+            FrameDecoder().feed(frame)
+
     def test_absurd_sample_count_rejected_from_header_alone(self):
         """A corrupt count must fail fast, not wait for 60 GiB."""
         frame = FRAME_HEADER.pack(

@@ -1,17 +1,26 @@
 """Unit tests for the process-worker plane: handle, lifecycle, drain."""
 
 import base64
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.capture.format import CaptureFormatError
 from repro.core.signal import buffer_signal
+from repro.eventloop.loop import MainLoop
 from repro.net import ProcessShardedScopeManager, WorkerDied, encode_control, shard_of
 from repro.net.worker import WorkerHandle
 
 SIGNALS = ["alpha", "beta", "gamma", "delta"]
 N = 2
+#: SHA-256 of each worker's router→worker stream in
+#: ``test_router_to_worker_stream_is_pinned``, taken from a router that
+#: wrote every frame to the socket as it was queued.
+PINNED_STREAMS = [
+    "b02d9a7ad286665ab725f6daa884e8ebb69bda3b6eba71b016cab6e8628a2328",
+    "aeafa125e18fdfba01764bb70d61b4a69af7a62c76e6eeb7428041970a5e3db5",
+]
 
 
 def factory(manager, shard_id):
@@ -20,6 +29,22 @@ def factory(manager, shard_id):
         scope.signal_new(buffer_signal(name))
     scope.set_polling_mode(50)
     scope.start_polling()
+
+
+class RecordingSocket:
+    """The router end of a worker link, keeping every byte it sends."""
+
+    def __init__(self, sock) -> None:
+        self._sock = sock
+        self.stream = bytearray()
+
+    def send(self, data) -> int:
+        sent = self._sock.send(data)
+        self.stream += memoryview(data)[:sent]
+        return sent
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
 
 
 def poisoned_factory(manager, shard_id):
@@ -39,7 +64,7 @@ def poisoned_factory(manager, shard_id):
 @pytest.mark.distributed
 class TestWorkerHandle:
     def test_lifecycle_deliver_stats_snapshot_shutdown(self):
-        handle = WorkerHandle(0, factory)
+        handle = WorkerHandle(0, factory, loop=MainLoop())
         try:
             offered = handle.deliver(100.0, "alpha", [90.0, 95.0], [1.0, 2.0])
             assert offered == 2
@@ -56,7 +81,7 @@ class TestWorkerHandle:
         """A snapshot reply is checked like the state file it becomes:
         every flipped byte and every truncation of one real reply raises
         CaptureFormatError from snapshot_state, never a wrong state."""
-        handle = WorkerHandle(0, factory)
+        handle = WorkerHandle(0, factory, loop=MainLoop())
         try:
             handle.deliver(100.0, "alpha", [90.0, 95.0], [1.0, 2.0])
             reply = handle.request(
@@ -78,7 +103,7 @@ class TestWorkerHandle:
                 handle.snapshot_state()
 
     def test_kill_detected_and_requests_fail_fast(self):
-        handle = WorkerHandle(1, factory)
+        handle = WorkerHandle(1, factory, loop=MainLoop())
         try:
             handle.kill()
             assert not handle.is_alive()
@@ -88,7 +113,7 @@ class TestWorkerHandle:
             handle.close()
 
     def test_child_crash_reported_not_wedged(self):
-        handle = WorkerHandle(0, poisoned_factory)
+        handle = WorkerHandle(0, poisoned_factory, loop=MainLoop())
         try:
             handle.deliver(100.0, "poison", [90.0], [1.0])
             with pytest.raises(WorkerDied, match="crash"):
@@ -102,7 +127,7 @@ class TestWorkerHandle:
         """The child is dead before the next request: that request's
         send fails first, yet the caller still gets the crash reason
         (still unread in the socket), not a bare "died awaiting"."""
-        handle = WorkerHandle(0, poisoned_factory)
+        handle = WorkerHandle(0, poisoned_factory, loop=MainLoop())
         try:
             handle.deliver(100.0, "poison", [90.0], [1.0])
             handle.flush()
@@ -124,7 +149,7 @@ class TestWorkerHandle:
                     raise BlockingIOError
                 return len(data) - 1
 
-        handle = WorkerHandle(0, factory)
+        handle = WorkerHandle(0, factory, loop=MainLoop())
         real = handle.sock
         try:
             handle.sock = BackedUpSocket()
@@ -175,3 +200,44 @@ class TestProcessShardedScopeManager:
             with pytest.raises(WorkerDied, match="ingested 1 samples, 2 were sent"):
                 mgr.drain(timeout_s=5.0)
             assert handle.bytes_sent - sent == len(encode_control({"op": "stats"}))
+
+    def test_one_loop_iteration_writes_the_pending_buffer(self):
+        """Pushes queue; the router loop's next iteration writes them,
+        with nobody draining — and a full chunk goes out at once."""
+        with ProcessShardedScopeManager(shards=1, scope_factory=factory) as mgr:
+            handle = mgr.handle_of(0)
+            mgr.push_samples("alpha", [0.0, 1.0], [1.0, 2.0])
+            assert handle.pending_bytes > 0 and handle.bytes_sent == 0
+            mgr.loop.iteration()
+            assert handle.pending_bytes == 0
+            sent = handle.bytes_sent
+            assert sent > 0
+            big = np.zeros(5000)  # 80 KiB of columns: past one chunk
+            mgr.push_samples("beta", big, big)
+            assert handle.bytes_sent - sent >= 16 * 5000
+            mgr.drain(timeout_s=30.0)
+            assert mgr.totals()["offered"] == 5002
+
+    def test_router_to_worker_stream_is_pinned(self):
+        """Corking moves no byte: for a seeded multi-signal sequence of
+        pushes, advances, loop runs and a drain, each worker's stream is
+        the one an unbuffered router wrote."""
+        rng = np.random.default_rng(2026)
+        with ProcessShardedScopeManager(shards=N, scope_factory=factory) as mgr:
+            links = []
+            for shard_id in mgr.shard_ids:
+                handle = mgr.handle_of(shard_id)
+                handle.sock = RecordingSocket(handle.sock)
+                links.append(handle.sock)
+            for step in range(48):
+                name = SIGNALS[int(rng.integers(0, len(SIGNALS)))]
+                n = int(rng.choice([1, 7, 128, 2048, 6000]))
+                now = mgr.loop.clock.now()
+                times = now - rng.uniform(0.0, 200.0, n)
+                mgr.push_samples(name, times, rng.standard_normal(n))
+                if step % 8 == 7:
+                    mgr.advance_all()
+                mgr.loop.run_for(float(rng.integers(0, 30)))
+            mgr.drain(timeout_s=60.0)
+            digests = [hashlib.sha256(link.stream).hexdigest() for link in links]
+        assert digests == PINNED_STREAMS
