@@ -1,11 +1,20 @@
-"""The capture reader: mmapped segments, indexed O(log n) seek.
+"""The capture reader: mmapped segments, one block table, O(log n) seek.
 
 A :class:`CaptureReader` opens every segment of a capture directory,
 validates its structure up front (magics, header CRC, directory CRC,
 exact-size invariant, name-id and offset bounds) and memory-maps the
 bodies, so reading a block is ``np.frombuffer`` over the mapping — no
-parsing, no copies.  Block payload CRCs are verified lazily, once, on
-first access.
+parsing, no copies.
+
+From the validated directories it builds one store-wide block table:
+per block a global name id, its segment, offset, sample count and
+stored CRC, plus one verified flag.  Each :class:`Segment` sees its own
+slice of those flags, so a block's payload CRC is checked once per
+reader, on first access, whichever path reads it first: the gather of
+:meth:`CaptureReader.columns_for`, :meth:`~CaptureReader.iter_blocks` or
+:meth:`~CaptureReader.seek`.  The table also holds each segment's base
+address for the native gather; :meth:`CaptureReader.close` drops it, and
+every read of a closed reader raises ``ValueError``.
 
 Seeking by timestamp uses the directory as an index.  Captured sample
 timestamps are *not* globally sorted (a jittered producer stamps samples
@@ -45,7 +54,7 @@ from repro.capture.format import (
     unpack_name_table,
     unpack_trailer,
 )
-from repro.core.checksum import crc32, gather_verify
+from repro.core.checksum import Buffers, crc32, gather_verify
 
 
 @dataclass(frozen=True, order=True)
@@ -86,7 +95,7 @@ class Segment:
                 f"(minimum is {HEADER_SIZE + TRAILER_SIZE})"
             )
         self._fh = open(path, "rb")
-        self._base: Optional[np.ndarray] = None  # lazy uint8 view of _mm
+        self._base: Optional[np.ndarray] = None  # uint8 view of _mm
         try:
             self._mm = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
         except BaseException:
@@ -97,6 +106,7 @@ class Segment:
         except BaseException:
             self.close()
             raise
+        self._base = np.frombuffer(self._mm, dtype=np.uint8)
 
     def _validate(self, expected_index: int, size: int) -> SegmentHeader:
         mm = self._mm
@@ -178,20 +188,12 @@ class Segment:
     def block_count(self) -> int:
         return int(self.header.block_count)
 
-    @property
-    def sample_count(self) -> int:
-        return int(self.directory["count"].sum())
-
-    def _view(self) -> np.ndarray:
-        """The mapping as a uint8 array (made once, on first use)."""
-        if self._base is None:
-            self._base = np.frombuffer(self._mm, dtype=np.uint8)
-        return self._base
-
     def verify_block(self, index: int) -> None:
         """Check block ``index``'s payload CRC once (cached thereafter).
 
-        The CRC runs over the mapping in place — no slice copy.
+        The CRC runs over the mapping in place — no slice copy.  Inside a
+        :class:`CaptureReader` the cache is this segment's slice of the
+        store-wide verified flags, which the gather shares.
         """
         if self._verified[index]:
             return
@@ -199,7 +201,7 @@ class Segment:
         count = int(entry["count"])
         offset = int(entry["offset"])
         stored = int(entry["crc"])
-        actual = crc32(self._view(), 0, offset, 16 * count)
+        actual = crc32(self._base, 0, offset, 16 * count)
         if stored != actual:
             raise CaptureFormatError(
                 f"{self.path.name}: block {index} payload CRC mismatch "
@@ -227,58 +229,6 @@ class Segment:
             values=values,
             push_now=float(entry["push_now"]),
         )
-
-    def gather(
-        self,
-        indices: np.ndarray,
-        out_t: np.ndarray,
-        out_v: np.ndarray,
-        start: int,
-    ) -> int:
-        """Copy blocks ``indices`` (stream order) into the output columns.
-
-        CRC verification and the payload copy run as **one native pass**
-        over the segment (:func:`repro.core.checksum.gather_verify`, the
-        carry-less-multiply CRC kernel) when the checksum kernel built —
-        no per-block Python loop on the hot read path.  Already-verified
-        blocks skip their check either way.  Without it: per-block
-        :meth:`verify_block` (``zlib.crc32``), then a numpy copy.
-        Returns the cursor after the copied samples.
-        """
-        entries = self.directory[indices]
-        counts = entries["count"].astype(np.int64)
-        verified = self._verified[indices]
-        crcs = np.where(verified, -1, entries["crc"].astype(np.int64))
-        rc = gather_verify(
-            self._view(),
-            entries["offset"].astype(np.int64),
-            counts,
-            crcs,
-            out_t,
-            out_v,
-            start,
-        )
-        if rc is not None:
-            if rc < 0:
-                bad = int(indices[-rc - 1])
-                raise CaptureFormatError(
-                    f"{self.path.name}: block {bad} payload CRC mismatch"
-                )
-            self._verified[indices] = True
-            return start + rc
-        # No checksum kernel: verify per block, then slice the mapping
-        # directly per block (no Block objects, no re-verification).
-        for index in indices:
-            self.verify_block(int(index))
-        base = self._base
-        cursor = start
-        for offset, count in zip(entries["offset"].tolist(), counts.tolist()):
-            stop = cursor + count
-            mid = offset + 8 * count
-            out_t[cursor:stop] = base[offset:mid].view(np.float64)
-            out_v[cursor:stop] = base[mid : mid + 8 * count].view(np.float64)
-            cursor = stop
-        return cursor
 
     def seek_block(self, t: float) -> Optional[Tuple[int, int]]:
         """First (block, offset) whose sample time is >= ``t``, else None."""
@@ -320,6 +270,47 @@ class Segment:
         self._fh.close()
 
 
+class _BlockTable:
+    """Every block of a store, one row each in stream order.
+
+    Built once from the segments' validated directories.  ``bases``
+    holds each segment's mapping with its address; the reader drops the
+    whole table on close, so no address outlives the views it points
+    into.
+    """
+
+    def __init__(self, segments: List[Segment]) -> None:
+        index_of: Dict[str, int] = {}
+        ids = [np.empty(0, dtype=np.int64)]
+        for segment in segments:
+            local = [index_of.setdefault(n, len(index_of)) for n in segment.names]
+            ids.append(np.array(local, dtype=np.int64)[segment.directory["name_id"]])
+        per_segment = [segment.block_count for segment in segments]
+
+        def column(field: str) -> np.ndarray:
+            parts = [segment.directory[field] for segment in segments]
+            return np.concatenate(parts or [np.empty(0)]).astype(np.int64)
+
+        #: Global name id of each name, in first-appearance (stream) order.
+        self.index_of = index_of
+        self.ids = np.concatenate(ids)
+        self.segment_of = np.repeat(np.arange(len(segments)), per_segment)
+        #: Row of each segment's first block; ``first[-1]`` is the row count.
+        self.first = [0] + np.cumsum(per_segment, dtype=np.int64).tolist()
+        self.offsets = column("offset")
+        self.counts = column("count")
+        self.crcs = column("crc")
+        self.verified = np.zeros(self.first[-1], dtype=bool)
+        for k, segment in enumerate(segments):
+            segment._verified = self.verified[self.first[k] : self.first[k + 1]]
+        self.bases = Buffers([segment._base for segment in segments])
+
+    def locate(self, row: int) -> Tuple[int, int]:
+        """``(segment, block)`` of table row ``row``."""
+        k = int(self.segment_of[row])
+        return k, row - self.first[k]
+
+
 class CaptureReader:
     """Reads a segmented capture directory.
 
@@ -343,6 +334,7 @@ class CaptureReader:
         files = sorted(self.path.glob(f"*{SEGMENT_SUFFIX}"))
         self.segments: List[Segment] = []
         self.skipped_tail: Optional[str] = None
+        self._table: Optional[_BlockTable] = None
         for ordinal, file in enumerate(files):
             try:
                 try:
@@ -366,33 +358,32 @@ class CaptureReader:
             except BaseException:
                 self.close()
                 raise
-        if self.segments:
-            self._seg_cum_t_max = np.maximum.accumulate(
-                np.array([s.cum_t_max[-1] for s in self.segments])
-            )
-        else:
-            self._seg_cum_t_max = np.empty(0, dtype=np.float64)
+        self._seg_cum_t_max = np.maximum.accumulate(
+            np.array([s.cum_t_max[-1] for s in self.segments], dtype=np.float64)
+        )
+        self._table = _BlockTable(self.segments)
+
+    def _live(self) -> _BlockTable:
+        """The block table; raises ``ValueError`` once the reader is closed."""
+        if self._table is None:
+            raise ValueError(f"capture reader of {self.path} is closed")
+        return self._table
 
     # ------------------------------------------------------------------
     # Store-level metadata
     # ------------------------------------------------------------------
     @property
     def sample_count(self) -> int:
-        return sum(s.sample_count for s in self.segments)
+        return int(self._live().counts.sum())
 
     @property
     def block_count(self) -> int:
-        return sum(s.block_count for s in self.segments)
+        return self._live().first[-1]
 
     @property
     def names(self) -> List[str]:
         """Distinct signal names, in first-appearance (stream) order."""
-        seen: List[str] = []
-        for segment in self.segments:
-            for name in segment.names:
-                if name not in seen:
-                    seen.append(name)
-        return seen
+        return list(self._live().index_of)
 
     @property
     def start_time_ms(self) -> float:
@@ -428,6 +419,7 @@ class CaptureReader:
         O(log n) in the store size.  Returns :meth:`end_position` when
         every sample is older than ``t``.
         """
+        self._live()
         start = int(np.searchsorted(self._seg_cum_t_max, t, side="left"))
         for seg_index in range(start, len(self.segments)):
             hit = self.segments[seg_index].seek_block(t)
@@ -452,6 +444,7 @@ class CaptureReader:
         *before* decoding (the directory alone decides), so a narrow
         read never pays payload CRC for signals it ignores.
         """
+        self._live()
         pos = start or Position()
         want = None if names is None else set(names)
         for seg_index in range(pos.segment, len(self.segments)):
@@ -488,72 +481,61 @@ class CaptureReader:
                 yield Position(seg_index, block_index, offset), block
 
     def signal_sample_counts(self) -> Dict[str, int]:
-        """Per-signal sample totals, straight from the directories.
+        """Per-signal sample totals, straight from the block table.
 
-        No payload is touched: each segment's directory already carries
-        per-block name ids and counts, so this is metadata arithmetic.
+        No payload is touched: the table already carries per-block name
+        ids and counts, so this is metadata arithmetic.
         """
-        counts: Dict[str, int] = {}
-        for segment in self.segments:
-            ids = segment.directory["name_id"]
-            per_id = np.bincount(
-                ids.astype(np.int64),
-                weights=segment.directory["count"].astype(np.float64),
-                minlength=len(segment.names),
-            )
-            for name_id, name in enumerate(segment.names):
-                counts[name] = counts.get(name, 0) + int(per_id[name_id])
-        return counts
+        table = self._live()
+        names = table.index_of
+        per_id = np.bincount(table.ids, weights=table.counts, minlength=len(names))
+        return {name: int(per_id[i]) for name, i in names.items()}
 
     def columns_for(
         self, names: Iterable[str]
     ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
         """Several signals' ``(times, values)`` columns in one pass.
 
-        The block list per signal comes from the directories alone
-        (payloads of other signals are never touched, nor CRC-checked).
-        A signal recorded in a **single block** comes back as the
-        direct read-only mmap views of that block — zero copy; the
-        views stay valid even after :meth:`close` (the mapping is
-        unmapped when the last view is garbage-collected).  A signal
-        spanning several blocks is copied once into preallocated
-        columns — verified and copied in one native pass per segment
-        (:meth:`Segment.gather`) when the checksum kernel built, else
-        verified per block and copied with numpy.  Signals absent from
-        the capture come back as empty columns (matching
-        :meth:`read_signal`).  This is the batch query executor's read
-        path.
+        Each signal is one select over the block table (payloads of other
+        signals are never touched, nor CRC-checked).  A signal recorded
+        in a **single block** comes back as the direct read-only mmap
+        views of that block — zero copy; the views stay valid even after
+        :meth:`close` (the mapping is unmapped when the last view is
+        garbage-collected).  A signal spanning several blocks is copied
+        once into preallocated columns by one checked call,
+        :func:`repro.core.checksum.gather_verify`, over every block of
+        the signal in every segment: native when the checksum kernel
+        built, else zlib and numpy.  It checks the CRC of each block not
+        yet verified, and the verified flags it sets are the ones
+        :meth:`iter_blocks` and :meth:`seek` consult.  Signals absent
+        from the capture come back as empty columns (matching
+        :meth:`read_signal`).  Raises ``ValueError`` after :meth:`close`.
+        This is the batch query executor's read path.
         """
-        want = list(dict.fromkeys(names))  # de-dup, preserve order
-        # Directory-only pass: each signal's blocks, in stream order.
-        locs: Dict[str, List[Tuple[Segment, np.ndarray]]] = {
-            name: [] for name in want
-        }
-        totals = {name: 0 for name in want}
-        for segment in self.segments:
-            id_of = {n: i for i, n in enumerate(segment.names)}
-            ids = segment.directory["name_id"]
-            for name in want:
-                name_id = id_of.get(name)
-                if name_id is None:
-                    continue
-                hits = np.flatnonzero(ids == name_id)
-                if hits.size:
-                    locs[name].append((segment, hits))
-                    totals[name] += int(segment.directory["count"][hits].sum())
+        table = self._live()
         out: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for name in want:
-            blocks = locs[name]
-            if len(blocks) == 1 and blocks[0][1].size == 1:
-                segment, hits = blocks[0]
-                block = segment.block(int(hits[0]))
+        for name in dict.fromkeys(names):  # de-dup, preserve order
+            rows = np.flatnonzero(table.ids == table.index_of.get(name, -1))
+            if rows.size == 1:
+                segment, index = table.locate(int(rows[0]))
+                block = self.segments[segment].block(index)
                 out[name] = (block.times, block.values)
                 continue
-            times = np.empty(totals[name], dtype=np.float64)
-            values = np.empty(totals[name], dtype=np.float64)
-            cursor = 0
-            for segment, hits in blocks:
-                cursor = segment.gather(hits, times, values, cursor)
+            counts = table.counts[rows]
+            times = np.empty(int(counts.sum()), dtype=np.float64)
+            values = np.empty_like(times)
+            crcs = np.where(table.verified[rows], -1, table.crcs[rows])
+            segments, offsets = table.segment_of[rows], table.offsets[rows]
+            rc = gather_verify(
+                table.bases, segments, offsets, counts, crcs, times, values
+            )
+            if rc < 0:
+                segment, index = table.locate(int(rows[-rc - 1]))
+                raise CaptureFormatError(
+                    f"{self.segments[segment].path.name}: block {index} "
+                    "payload CRC mismatch"
+                )
+            table.verified[rows] = True
             out[name] = (times, values)
         return out
 
@@ -598,6 +580,8 @@ class CaptureReader:
         return times[order], values[order], ids[order]
 
     def close(self) -> None:
+        """Drop the block table and its addresses, then unmap every segment."""
+        self._table = None
         for segment in self.segments:
             segment.close()
         self.segments = []

@@ -20,21 +20,26 @@ without PCLMULQDQ and non-x86 builds, where the fold is not compiled.
 **Native or zlib.**  Python's ``zlib.crc32`` runs when
 ``REPRO_NATIVE=0``, when the machine has no compiler or the build
 fails, and for any single payload under :data:`CUTOVER` bytes, where
-one ctypes call costs more than it saves.  The block and gather forms
-are one native call for a whole segment, so they take no cutover.
+one ctypes call costs more than it saves.  The block form is one native
+call for a whole segment and the gather one for a whole store, so they
+take no cutover; without the kernel the gather runs the same checks,
+then zlib and numpy over the same blocks.
 
 **Bounds.**  The kernel is foreign code, so every native entry checks
 that each offset and length fits its buffer and raises ``ValueError``
 before the call.  Callers pass a ``bytes`` object with an offset, or an
-array; nothing is copied to reach the kernel.
+array; nothing is copied to reach the kernel.  The gather reads several
+buffers through :class:`Buffers`, which keeps each buffer's view next to
+its address, so no address outlives the memory it points into.
 """
 
 from __future__ import annotations
 
 import ctypes
 import zlib
-from operator import add
-from typing import Optional
+from itertools import repeat
+from operator import add, gt
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -42,6 +47,7 @@ from repro.core import native
 
 __all__ = [
     "CUTOVER",
+    "Buffers",
     "crc32",
     "crc32_blocks",
     "crc32_columns",
@@ -166,17 +172,20 @@ void crc32_blocks(const unsigned char* base, const long long* offsets,
         out[b] = crc_update(0, base + offsets[b], (size_t)lengths[b]);
 }
 
-/* Verified gather: check each block's CRC (crcs[b] < 0: already
-   verified, skip) and copy its columns out.  Returns the sample count
-   copied, or -(b + 1) naming the first bad block. */
-long long gather_verify(const unsigned char* base, const long long* offsets,
-                        const long long* counts, const long long* crcs,
-                        long long nblocks, double* out_t, double* out_v)
+/* Verified gather: block b is counts[b] times then counts[b] values at
+   offsets[b] of buffer bases[segs[b]].  Check each block's CRC (crcs[b]
+   < 0: already verified, skip) and copy its columns out.  Returns the
+   sample count copied, or -(b + 1) naming the first bad block. */
+long long gather_verify(const unsigned long long* bases, const long long* segs,
+                        const long long* offsets, const long long* counts,
+                        const long long* crcs, long long nblocks,
+                        double* out_t, double* out_v)
 {
     long long cur = 0;
     for (long long b = 0; b < nblocks; b++) {
         long long c = counts[b];
-        const unsigned char* p = base + offsets[b];
+        const unsigned char* p =
+            (const unsigned char*)(uintptr_t)bases[segs[b]] + offsets[b];
         if (crcs[b] >= 0 && (long long)crc_update(0, p, (size_t)(16 * c)) != crcs[b])
             return -(b + 1);
         memcpy((char*)(out_t + cur), p, (size_t)(8 * c));
@@ -206,7 +215,7 @@ def _native() -> Optional[ctypes.CDLL]:
             lib.crc32_blocks.restype = None
             lib.crc32_blocks.argtypes = [ptr, ptr, ptr, ll, ptr]
             lib.gather_verify.restype = ll
-            lib.gather_verify.argtypes = [ptr, ptr, ptr, ptr, ll, ptr, ptr]
+            lib.gather_verify.argtypes = [ptr, ptr, ptr, ptr, ptr, ll, ptr, ptr]
         _lib = lib
     return _lib
 
@@ -218,15 +227,18 @@ def reset() -> None:
     _tried = False
 
 
-def _check_spans(starts: np.ndarray, lengths: np.ndarray, size: int) -> None:
+def _check_spans(starts: List[int], lengths: List[int], sizes: Iterable[int]) -> None:
     """Raise ``ValueError`` unless every ``[start, start + length)`` fits
-    a buffer of ``size`` bytes.  Python ints: a handful of blocks costs
-    less than one numpy reduction."""
-    starts, lengths = starts.tolist(), lengths.tolist()
+    its buffer, whose size ``sizes`` yields in span order.  Python ints,
+    so a forged offset or length cannot overflow past the check."""
+    if len(starts) != len(lengths):
+        raise ValueError("checksum spans need one length per offset")
     if starts and (
-        min(starts) < 0 or min(lengths) < 0 or max(map(add, starts, lengths)) > size
+        min(starts) < 0
+        or min(lengths) < 0
+        or any(map(gt, map(add, starts, lengths), sizes))
     ):
-        raise ValueError(f"checksum span does not fit a buffer of {size} bytes")
+        raise ValueError("checksum span does not fit its buffer")
 
 
 def crc32(data, value: int = 0, offset: int = 0, length: Optional[int] = None) -> int:
@@ -273,7 +285,7 @@ def crc32_blocks(base, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     view = np.frombuffer(base, dtype=np.uint8)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    _check_spans(offsets, lengths, view.shape[0])
+    _check_spans(offsets.tolist(), lengths.tolist(), repeat(view.shape[0]))
     out = np.empty(offsets.shape[0], dtype=np.uint32)
     lib = _native()
     if lib is None:
@@ -290,50 +302,86 @@ def crc32_blocks(base, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+class Buffers:
+    """Byte buffers that :func:`gather_verify` reads by index.
+
+    Holds a uint8 view of each buffer beside its address and size.  The
+    views pin the memory the addresses point into, so the addresses are
+    valid exactly as long as this object is referenced.
+    """
+
+    def __init__(self, buffers) -> None:
+        self.views = [np.frombuffer(b, dtype=np.uint8) for b in buffers]
+        self.addresses = np.array([v.ctypes.data for v in self.views], dtype=np.uint64)
+        self.sizes = np.array([v.nbytes for v in self.views], dtype=np.int64)
+
+
 def gather_verify(
-    base: np.ndarray,
+    bases: Buffers,
+    segments: np.ndarray,
     offsets: np.ndarray,
     counts: np.ndarray,
     crcs: np.ndarray,
     out_t: np.ndarray,
     out_v: np.ndarray,
-    start: int,
-) -> Optional[int]:
-    """CRC-check and gather blocks in one native pass; None → caller's path.
+) -> int:
+    """CRC-check and gather blocks from several buffers in one native pass.
 
-    ``base`` is a uint8 view of one segment; block ``b`` holds
-    ``counts[b]`` times then ``counts[b]`` values from byte
-    ``offsets[b]``, and its columns land at ``out_t[start:]`` /
-    ``out_v[start:]`` in order.  ``crcs`` (int64) holds each block's
-    stored CRC, or ``-1`` for a block already verified (its check is
-    skipped).  Returns the sample count copied, or ``-(b + 1)`` when
-    block ``b`` fails its CRC — the caller raises.  Raises
-    ``ValueError`` when a block or the output does not fit.
+    Block ``b`` holds ``counts[b]`` times then ``counts[b]`` values from
+    byte ``offsets[b]`` of buffer ``segments[b]`` of ``bases``; the
+    columns land in ``out_t`` / ``out_v`` in block order and fill them
+    exactly.  ``crcs`` (int64) holds each block's stored CRC, or ``-1``
+    for a block already verified (its check is skipped).  Returns the
+    sample count copied, or ``-(b + 1)`` when block ``b`` fails its CRC —
+    the caller raises.
+
+    Before any native call it raises ``ValueError`` unless the four
+    block arrays have one entry per block, every segment index names one
+    of ``bases``, every block fits its own buffer, and both outputs are
+    writable contiguous float64 columns of exactly the blocks' sample
+    total.  Without the kernel, zlib and numpy do the same work.
     """
-    lib = _native()
-    if lib is None:
-        return None
+    segments = np.ascontiguousarray(segments, dtype=np.int64)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     counts = np.ascontiguousarray(counts, dtype=np.int64)
     crcs = np.ascontiguousarray(crcs, dtype=np.int64)
-    if not base.flags.c_contiguous:
-        raise ValueError("gather base must be a contiguous buffer")
-    _check_spans(offsets, 16 * counts, base.nbytes)
-    end = start + int(counts.sum())
+    if not len(segments) == len(offsets) == len(counts) == len(crcs):
+        raise ValueError("gather needs one segment, offset, count and crc per block")
+    starts, lengths = offsets.tolist(), counts.tolist()
+    total = sum(lengths)
     for out in (out_t, out_v):
-        if out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError("gather output must be a contiguous float64 column")
-        if start < 0 or end > out.shape[0]:
+        if out.dtype != np.float64 or not out.flags.carray:
+            raise ValueError("gather output must be a writable float64 C array")
+        if out.shape[0] != total:
             raise ValueError(
-                f"gather of [{start}, {end}) does not fit an output of {out.shape[0]}"
+                f"gather of {total} samples does not fit an output of {out.shape[0]}"
             )
-    rc = lib.gather_verify(
-        base.ctypes.data,
-        offsets.ctypes.data,
-        counts.ctypes.data,
-        crcs.ctypes.data,
-        offsets.shape[0],
-        out_t.ctypes.data + 8 * start,
-        out_v.ctypes.data + 8 * start,
+    buffers = len(bases.views)
+    if segments.size and not 0 <= segments.min() <= segments.max() < buffers:
+        raise ValueError(f"gather segment index out of range for {buffers} buffers")
+    _check_spans(starts, [16 * n for n in lengths], bases.sizes[segments].tolist())
+    lib = _native()
+    if lib is None:
+        cursor = 0
+        rows = zip(segments.tolist(), starts, lengths, crcs.tolist())
+        for b, (segment, start, n, crc) in enumerate(rows):
+            block = bases.views[segment][start : start + 16 * n]
+            if crc >= 0 and zlib.crc32(block) != crc:
+                return -(b + 1)
+            out_t[cursor : cursor + n] = block[: 8 * n].view(np.float64)
+            out_v[cursor : cursor + n] = block[8 * n :].view(np.float64)
+            cursor += n
+        return cursor
+    addresses = bases.addresses
+    return int(
+        lib.gather_verify(
+            addresses.ctypes.data,
+            segments.ctypes.data,
+            offsets.ctypes.data,
+            counts.ctypes.data,
+            crcs.ctypes.data,
+            segments.shape[0],
+            out_t.ctypes.data,
+            out_v.ctypes.data,
+        )
     )
-    return int(rc)

@@ -88,8 +88,10 @@ from repro.eventloop.clock import Clock
 from repro.eventloop.loop import MainLoop
 from repro.eventloop.sources import IOCondition
 from repro.net.protocol import (
+    _NAME_DEF,
+    _QUERY,
+    _SAMPLES,
     FrameDecoder,
-    FrameKind,
     ProtocolError,
     encode_binary_samples,
     encode_columns,
@@ -533,16 +535,16 @@ class ScopeClient:
                 return True
 
     def _dispatch_rx(self, frame) -> None:
-        if frame.kind is FrameKind.SAMPLES:
+        if frame.kind is _SAMPLES:
             name = self._rx_names.get(frame.name_id)
             if name is None:
                 return  # not ours (or a stale id); never fatal client-side
             for sub in self._subs.values():
                 if sub.wants(name):
                     sub._deliver(name, frame.times, frame.values)
-        elif frame.kind is FrameKind.NAME_DEF:
+        elif frame.kind is _NAME_DEF:
             self._rx_names[frame.name_id] = frame.name
-        elif frame.kind is FrameKind.QUERY:
+        elif frame.kind is _QUERY:
             payload = frame.control or {}
             sub = self._subs.get(str(payload.get("id")))
             if sub is None:

@@ -32,7 +32,8 @@ from repro.core.manager import RESERVED_PREFIX
 from repro.core.tuples import Tuple3, TupleFormatError
 from repro.eventloop.loop import MainLoop
 from repro.eventloop.sources import IOCondition
-from repro.net.protocol import Frame, FrameKind, ProtocolError, WireDecoder
+from repro.net.protocol import _HELLO, _NAME_DEF, _QUERY, _SAMPLES
+from repro.net.protocol import Frame, ProtocolError, WireDecoder
 from repro.net.queryservice import QueryMultiplexer
 
 try:  # optional self-instrumentation plane (absence changes no bytes)
@@ -235,7 +236,7 @@ class ScopeServer:
         """Binary hot path: decoded columns go straight to the manager."""
         cells = self._cells
         cells["frames"].inc()
-        if frame.kind is FrameKind.SAMPLES:
+        if frame.kind is _SAMPLES:
             name = state.names.get(frame.name_id)
             if name is None:
                 raise ProtocolError(
@@ -262,14 +263,14 @@ class ScopeServer:
                 accepted = self.manager.push_samples(name, frame.times, frame.values)
             cells["accepted"].inc(accepted)
             cells["dropped_late"].inc(n - accepted)
-        elif frame.kind is FrameKind.NAME_DEF:
+        elif frame.kind is _NAME_DEF:
             state.names[frame.name_id] = frame.name
-        elif frame.kind is FrameKind.QUERY:
+        elif frame.kind is _QUERY:
             # The continuous-query channel: compile/subscribe requests.
             # Compile failures reply in-band; malformed payloads raise
             # ProtocolError through the caller and disconnect.
             self.queries.handle(state, frame.control)
-        elif frame.kind is not FrameKind.HELLO:  # HELLO: version already checked
+        elif frame.kind is not _HELLO:  # HELLO: version already checked
             # DELIVER/CONTROL belong to the router↔worker link (see
             # repro.net.worker); a client session sending them is
             # confused or hostile either way — disconnect it.

@@ -99,8 +99,10 @@ from repro.capture.format import CaptureFormatError
 from repro.eventloop.loop import MainLoop
 from repro.eventloop.sources import IOCondition
 from repro.net.protocol import (
+    _CONTROL,
+    _DELIVER,
+    _NAME_DEF,
     FrameDecoder,
-    FrameKind,
     ProtocolError,
     as_columns,
     encode_columns,
@@ -227,16 +229,16 @@ def worker_main(
             if not chunk:
                 break  # router went away without a shutdown — exit clean
             for frame in decoder.feed(chunk):
-                if frame.kind is FrameKind.DELIVER:
+                if frame.kind is _DELIVER:
                     name = names.get(frame.name_id)
                     if name is None:
                         raise ProtocolError(
                             f"delivery for undefined name id {frame.name_id}"
                         )
                     host.deliver(frame.now, name, frame.times, frame.values)
-                elif frame.kind is FrameKind.NAME_DEF:
+                elif frame.kind is _NAME_DEF:
                     names[frame.name_id] = frame.name
-                elif frame.kind is FrameKind.CONTROL:
+                elif frame.kind is _CONTROL:
                     op = frame.control.get("op")
                     if op == "advance":
                         host.advance(float(frame.control["now"]))
@@ -537,7 +539,7 @@ class WorkerHandle:
                 self._mark_down()
                 return
             for frame in self._decoder.feed(chunk):
-                if frame.kind is not FrameKind.CONTROL:
+                if frame.kind is not _CONTROL:
                     continue
                 self.last_beat_monotonic = time.monotonic()
                 if frame.control.get("op") != "beat":

@@ -278,6 +278,51 @@ class TestNativeSizedBlocks:
                 reader.columns_for(["multi"])
 
 
+class TestStoreWideGather:
+    """One gather reads a signal from every segment; a flipped payload
+    byte anywhere in it fails closed and names the segment and block."""
+
+    @pytest.fixture
+    def spread(self, tmp_path):
+        """``sig`` in three blocks of each of four segments, ``other``
+        between them."""
+        path = tmp_path / "spread"
+        rng = np.random.default_rng(31)
+        with CaptureWriter(path, segment_samples=150) as writer:
+            now = 0.0
+            for _ in range(12):
+                now += 10.0
+                for name in ("sig", "other"):
+                    times = np.sort(rng.uniform(now - 5, now, 25))
+                    writer.on_push(name, times, rng.standard_normal(25), now)
+        return path
+
+    @pytest.mark.parametrize("seg,nth", [(0, 0), (2, 1), (3, 2)])
+    def test_flipped_byte_names_segment_and_block(
+        self, spread, checksum_backend, seg, nth
+    ):
+        files = sorted(spread.glob("*.gseg"))
+        with CaptureReader(spread) as reader:
+            assert len(reader.segments) == 4
+            segment = reader.segments[seg]
+            ids = segment.directory["name_id"]
+            blocks = np.flatnonzero(ids == segment.names.index("sig"))
+            assert blocks.size == 3
+            block = int(blocks[nth])
+            entry = segment.directory[block]
+            want = reader.columns_for(["other"])["other"]
+        raw = bytearray(files[seg].read_bytes())
+        raw[int(entry["offset"]) + 16 * int(entry["count"]) - 5] ^= 0x20
+        files[seg].write_bytes(bytes(raw))
+        with CaptureReader(spread) as reader:
+            got = reader.columns_for(["other"])["other"]
+            assert got[0].tobytes() == want[0].tobytes()
+            with pytest.raises(
+                CaptureFormatError, match=rf"{files[seg].name}: block {block} payload CRC"
+            ):
+                reader.columns_for(["sig"])
+
+
 class TestGatherWithoutChecksumKernel:
     """No checksum kernel (other native code may still be loaded): the
     reader verifies each block with zlib and copies with numpy."""

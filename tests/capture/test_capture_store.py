@@ -1,5 +1,6 @@
 """Writer/reader round-trip, metadata, taps and text conversion."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -15,6 +16,8 @@ from repro.capture import (
     export_text,
     import_text,
 )
+from repro.capture import reader as reader_module
+from repro.core import checksum
 from repro.core.manager import ScopeManager
 from repro.core.signal import buffer_signal
 from repro.core.tuples import Player
@@ -446,3 +449,161 @@ class TestIterBlocksFilter:
         )
         reader = CaptureReader(tmp_path / "cap")
         assert len(list(reader.iter_blocks())) == 2
+
+
+def spread_store(path):
+    """A multi-segment store: ``wide`` has blocks in every segment,
+    ``gappy`` only in some, ``solo`` is one block, ``other`` interleaves."""
+    rng = np.random.default_rng(23)
+    with CaptureWriter(path, segment_samples=400) as writer:
+        now = 0.0
+        for tick in range(16):
+            now += 10.0
+            names = ["wide", "other"]
+            names += ["gappy"] if tick % 6 in (0, 1) else []
+            names += ["solo"] if tick == 7 else []
+            for name in names:
+                n = int(rng.integers(20, 90))
+                times = np.sort(rng.uniform(now - 5.0, now, n))
+                writer.on_push(name, times, rng.standard_normal(n), now)
+    return path
+
+
+#: SHA-256 of ``times‖values`` per signal of :func:`spread_store`, as the
+#: reader returned them when it gathered one segment at a time.
+SPREAD_DIGESTS = {
+    "wide": "2a4b5e18eae38aa099ad572bc229ca90d118476b6b2e887d137c94e4854bfcef",
+    "gappy": "c5a9a5e5120448a39946ec0f372f1e4f26106a55dd38b81e31efc0578689d59c",
+    "solo": "a4c1b7ab6e51fa86d0ce446bf3a9fc627c13ba5e7b81fa548f8258c9b005a9da",
+    "absent": hashlib.sha256(b"").hexdigest(),
+}
+
+
+def digest(columns):
+    times, values = columns
+    return hashlib.sha256(times.tobytes() + values.tobytes()).hexdigest()
+
+
+class TestBlockTable:
+    """One store-wide block table: one gather per signal, one verified
+    flag per block, nothing readable after close."""
+
+    def test_columns_are_byte_identical(self, tmp_path, checksum_backend):
+        with CaptureReader(spread_store(tmp_path / "cap")) as reader:
+            holds = {
+                name: [name in segment.names for segment in reader.segments]
+                for name in ("wide", "gappy", "solo")
+            }
+            assert len(reader.segments) >= 3 and all(holds["wide"])
+            assert any(holds["gappy"]) and not all(holds["gappy"])
+            assert sum(holds["solo"]) == 1
+            columns = reader.columns_for(["wide", "gappy", "solo", "absent"])
+            assert {name: digest(c) for name, c in columns.items()} == SPREAD_DIGESTS
+            for name in ("wide", "gappy"):  # the same bytes as a block walk
+                blocks = [b for _, b in reader.iter_blocks(names=[name])]
+                assert columns[name][0].tobytes() == b"".join(b.times.tobytes() for b in blocks)
+                assert columns[name][1].tobytes() == b"".join(b.values.tobytes() for b in blocks)
+
+    def test_single_block_signal_is_a_read_only_view(self, tmp_path, checksum_backend):
+        with CaptureReader(spread_store(tmp_path / "cap")) as reader:
+            times, values = reader.columns_for(["solo"])["solo"]
+            (segment,) = [s for s in reader.segments if "solo" in s.names]
+            for column in (times, values):
+                assert not column.flags.writeable
+                assert np.shares_memory(column, segment._base)
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Open a reader on ``path``; its two checksum entry points log
+        each block they check as ``(segment, offset)``."""
+
+        def open_reader(path):
+            reader = CaptureReader(path)
+            log = []
+
+            def crc32(data, value=0, offset=0, length=None):
+                k = next(k for k, s in enumerate(reader.segments) if s._base is data)
+                log.append((k, offset))
+                return checksum.crc32(data, value, offset, length)
+
+            def gather_verify(bases, segments, offsets, counts, crcs, out_t, out_v):
+                fresh = np.asarray(crcs) >= 0
+                log.extend(
+                    zip(np.asarray(segments)[fresh].tolist(), np.asarray(offsets)[fresh].tolist())
+                )
+                return checksum.gather_verify(bases, segments, offsets, counts, crcs, out_t, out_v)
+
+            monkeypatch.setattr(reader_module, "crc32", crc32)
+            monkeypatch.setattr(reader_module, "gather_verify", gather_verify)
+            return reader, log
+
+        return open_reader
+
+    @staticmethod
+    def blocks_of(reader, name):
+        return sorted(
+            (k, int(entry["offset"]))
+            for k, segment in enumerate(reader.segments)
+            for entry in segment.directory
+            if segment.names[int(entry["name_id"])] == name
+        )
+
+    @staticmethod
+    def block_reads(reader, name):
+        """Walk ``name``'s blocks, then seek to each block's first sample
+        (a seek may also read a block of another signal)."""
+        for _, block in reader.iter_blocks(names=[name]):
+            reader.seek(float(block.times[0]))
+
+    def test_gather_then_block_reads_check_each_block_once(
+        self, tmp_path, checksum_backend, checked
+    ):
+        reader, log = checked(spread_store(tmp_path / "cap"))
+        with reader:
+            reader.columns_for(["wide"])
+            assert sorted(log) == self.blocks_of(reader, "wide")
+            self.block_reads(reader, "wide")
+            reader.columns_for(["wide"])
+            assert len(log) == len(set(log))
+            assert sorted(b for b in log if b in self.blocks_of(reader, "wide")) == (
+                self.blocks_of(reader, "wide")
+            )
+
+    def test_block_reads_then_gather_check_each_block_once(
+        self, tmp_path, checksum_backend, checked
+    ):
+        reader, log = checked(spread_store(tmp_path / "cap"))
+        with reader:
+            next(reader.iter_blocks(names=["wide"]))
+            assert log == self.blocks_of(reader, "wide")[:1]
+            reader.columns_for(["wide"])  # checks only the blocks left
+            assert sorted(log) == self.blocks_of(reader, "wide")
+            self.block_reads(reader, "gappy")
+            reader.columns_for(["wide", "gappy"])
+            assert len(log) == len(set(log))
+            assert set(self.blocks_of(reader, "gappy")) <= set(log)
+
+    def test_reads_after_close_raise(self, tmp_path, checksum_backend):
+        reader = CaptureReader(spread_store(tmp_path / "cap"))
+        solo = reader.columns_for(["solo"])["solo"]
+        wide = reader.columns_for(["wide"])["wide"]
+        want = (digest(solo), digest(wide))
+        reader.close()
+        for read in (
+            lambda: reader.columns_for(["wide"]),
+            lambda: reader.columns_for(["absent"]),
+            lambda: reader.read_signal("wide"),
+            reader.columns,
+            reader.sorted_columns,
+            lambda: list(reader.iter_blocks()),
+            lambda: reader.seek(0.0),
+            lambda: reader.names,
+            lambda: reader.sample_count,
+            reader.signal_sample_counts,
+        ):
+            with pytest.raises(ValueError, match="closed"):
+                read()
+        # Columns handed out before close stay readable: a copy, and a
+        # view that keeps its mapping alive.
+        assert (digest(solo), digest(wide)) == want
+        reader.close()  # closing twice is harmless

@@ -71,26 +71,35 @@ class TestEqualsZlib:
             assert checksum.crc32_columns(times, values) == zlib.crc32(DATA[: 16 * n])
 
     def test_gather_verify_copies_and_names_the_bad_block(self, checksum_backend):
-        counts = np.array([1, 64, 600, 3], dtype=np.int64)
-        offsets = np.concatenate(([32], 32 + np.cumsum(16 * counts)[:-1]))
-        base = np.frombuffer(DATA, dtype=np.uint8)
-        crcs = np.array([expected(o, 16 * c) for o, c in zip(offsets, counts)], dtype=np.int64)
-        out_t = np.empty(int(counts.sum()) + 2)
+        """One call gathers a signal's blocks from several segments, in
+        the order given, on either backend."""
+        heads = (0, 100, 5)  # where each segment starts in DATA
+        bases = checksum.Buffers([DATA[:70_000], DATA[100:60_000], DATA[5:20_000]])
+        segments = np.array([1, 0, 2, 0, 1], dtype=np.int64)
+        offsets = np.array([7, 32, 0, 48_000, 41_000], dtype=np.int64)
+        counts = np.array([1, 64, 600, 3, 1_100], dtype=np.int64)
+        starts = [heads[s] + o for s, o in zip(segments.tolist(), offsets.tolist())]
+        crcs = np.array([expected(o, 16 * c) for o, c in zip(starts, counts.tolist())])
+        out_t = np.empty(int(counts.sum()))
         out_v = np.empty_like(out_t)
-        rc = checksum.gather_verify(base, offsets, counts, crcs, out_t, out_v, 2)
-        if checksum_backend == "zlib":
-            assert rc is None  # the reader's own per-block path takes over
-            return
-        assert rc == counts.sum()
-        cursor = 2
-        for o, c in zip(offsets.tolist(), counts.tolist()):
+
+        def gather(crcs):
+            return checksum.gather_verify(bases, segments, offsets, counts, crcs, out_t, out_v)
+
+        assert gather(crcs) == counts.sum()
+        cursor = 0
+        for o, c in zip(starts, counts.tolist()):
             assert out_t[cursor : cursor + c].tobytes() == DATA[o : o + 8 * c]
             assert out_v[cursor : cursor + c].tobytes() == DATA[o + 8 * c : o + 16 * c]
             cursor += c
-        crcs[2] ^= 1
-        assert checksum.gather_verify(base, offsets, counts, crcs, out_t, out_v, 2) == -3
-        crcs[2] = -1  # already verified: its check is skipped
-        assert checksum.gather_verify(base, offsets, counts, crcs, out_t, out_v, 2) == counts.sum()
+        for bad in (2, 4):
+            wrong = crcs.copy()
+            wrong[bad] ^= 1
+            assert gather(wrong) == -(bad + 1)
+            wrong[bad] = -1  # already verified: its check is skipped
+            assert gather(wrong) == counts.sum()
+        none, empty = np.empty(0, dtype=np.int64), np.empty(0)
+        assert checksum.gather_verify(bases, none, none, none, none, empty, empty) == 0
 
 
 class _NoKernel:
@@ -128,19 +137,36 @@ class TestBoundsCheckedBeforeNativeCall:
             checksum.crc32_blocks(DATA, np.array(offsets), np.array(lengths))
 
     def test_gather_spans_and_output(self, guarded):
-        base = np.frombuffer(DATA[:4096], dtype=np.uint8)
-        out = np.zeros(300)
-        ok = dict(offsets=np.array([0]), counts=np.array([100]), crcs=np.array([-1]))
+        bases = checksum.Buffers([DATA[:4096], DATA[:8192]])
+
+        def gather(segments=(0,), offsets=(0,), counts=(100,), crcs=(-1,), out_t=None, out_v=None):
+            total = sum(counts)
+            columns = [np.zeros(total) if out is None else out for out in (out_t, out_v)]
+            blocks = [np.array(x, dtype=np.int64) for x in (segments, offsets, counts, crcs)]
+            return checksum.gather_verify(bases, *blocks, *columns)
+
         for bad in (
-            dict(ok, offsets=np.array([4000])),  # block runs past the segment
-            dict(ok, counts=np.array([300])),
-            dict(ok, offsets=np.array([-16])),
+            dict(segments=(1,), offsets=(8150,)),  # runs past every segment
+            dict(offsets=(4000,)),  # runs past segment 0, though segment 1 would hold it
+            dict(offsets=(-16,)),
+            dict(segments=(0, 0), offsets=(0, 0), counts=(-100, 100), crcs=(-1, -1)),
+            dict(out_t=np.zeros(99), out_v=np.zeros(99)),  # the output must fit exactly
+            dict(out_t=np.zeros(101), out_v=np.zeros(101)),
         ):
             with pytest.raises(ValueError, match="does not fit"):
-                checksum.gather_verify(base, bad["offsets"], bad["counts"], bad["crcs"], out, out, 0)
-        with pytest.raises(ValueError, match="does not fit"):  # output too short
-            checksum.gather_verify(base, ok["offsets"], ok["counts"], ok["crcs"], out, out, 250)
-        with pytest.raises(ValueError, match="float64"):
-            checksum.gather_verify(
-                base, ok["offsets"], ok["counts"], ok["crcs"], out.astype(np.float32), out, 0
-            )
+                gather(**bad)
+        for segment in (2, -1):  # no such segment
+            with pytest.raises(ValueError, match="segment index"):
+                gather(segments=(segment,))
+        for bad in (dict(crcs=(-1, -1)), dict(segments=(0, 0))):
+            with pytest.raises(ValueError, match="one segment, offset, count and crc"):
+                gather(**bad)
+        read_only = np.zeros(100)
+        read_only.flags.writeable = False
+        for out in (np.zeros(100, dtype=np.float32), np.zeros(200)[::2], read_only):
+            with pytest.raises(ValueError, match="writable float64"):
+                gather(out_v=out)
+
+    def test_block_lengths_match_offsets(self, guarded):
+        with pytest.raises(ValueError, match="one length per offset"):
+            checksum.crc32_blocks(DATA, np.array([0, 16]), np.array([8]))

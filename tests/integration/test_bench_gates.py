@@ -1,10 +1,12 @@
 """Every regression gate's measurement runs once, at toy size.
 
-``benchmarks/check_regression.py`` and the six ``bench_*`` modules it
-imports run only on request (``REPRO_BENCH=1``), so an API change could
-break a gate and no tier-1 test would notice — one gate stayed dead
-that way for several changes.  This suite imports them all and runs each
-gate's bench function once on a toy input.  No timing is asserted.
+``benchmarks/check_regression.py`` and the ``bench_*`` modules run only
+on request (``REPRO_BENCH=1``), so an API change could break a gate or
+a benchmark and no tier-1 test would notice — one gate stayed dead that
+way for several changes.  This suite imports every ``bench_*`` module,
+runs each gate's bench function once on a toy input, and runs the
+capture reader's seek and replay benchmarks once.  No timing is
+asserted.
 """
 
 import importlib
@@ -31,6 +33,11 @@ def gates():
             sys.modules["conftest"] = saved
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in BENCHMARKS.glob("bench_*.py")))
+def test_bench_module_imports(gates, module):
+    importlib.import_module(module)
+
+
 def test_dispatch(gates):
     from repro.eventloop.loop import MainLoop
 
@@ -54,6 +61,18 @@ def test_wire_sharded(gates):
 
 def test_capture_write(gates):
     assert gates.bench_write(4000)["samples"] == 4000
+
+
+def test_capture_seek(gates):
+    from bench_capture import bench_seek
+
+    assert bench_seek(20_000, 200)["seeks"] == 200
+
+
+def test_capture_replay(gates):
+    from bench_capture import bench_replay
+
+    assert bench_replay(20_000)["samples"] == 20_000
 
 
 def test_batch_query(gates):
