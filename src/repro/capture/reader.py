@@ -440,45 +440,32 @@ class CaptureReader:
 
         A mid-block start position yields that block sliced from its
         offset; all later blocks come whole.  ``names`` restricts the
-        stream to those signals — blocks of other signals are skipped
-        *before* decoding (the directory alone decides), so a narrow
-        read never pays payload CRC for signals it ignores.
+        stream to those signals — one vectorised test over the block
+        table picks their rows *before* decoding, so a narrow read never
+        pays payload CRC (or a Python step) for blocks it ignores.
         """
-        self._live()
+        table = self._live()
         pos = start or Position()
-        want = None if names is None else set(names)
-        for seg_index in range(pos.segment, len(self.segments)):
-            segment = self.segments[seg_index]
-            if want is not None:
-                want_ids = {
-                    i for i, name in enumerate(segment.names) if name in want
-                }
-                if not want_ids:
+        first = table.first
+        start_row = first[min(pos.segment, len(self.segments))] + pos.block
+        rows = np.arange(start_row, first[-1])
+        if names is not None:
+            wanted = [table.index_of[n] for n in set(names) if n in table.index_of]
+            rows = rows[np.isin(table.ids[start_row:], wanted)]
+        for row, seg_index in zip(rows.tolist(), table.segment_of[rows].tolist()):
+            block_index = row - first[seg_index]
+            block = self.segments[seg_index].block(block_index)
+            offset = pos.offset if row == start_row else 0
+            if offset:
+                if offset >= len(block):
                     continue
-            first_block = pos.block if seg_index == pos.segment else 0
-            for block_index in range(first_block, segment.block_count):
-                if (
-                    want is not None
-                    and int(segment.directory[block_index]["name_id"])
-                    not in want_ids
-                ):
-                    continue
-                block = segment.block(block_index)
-                offset = (
-                    pos.offset
-                    if seg_index == pos.segment and block_index == pos.block
-                    else 0
+                block = Block(
+                    name=block.name,
+                    times=block.times[offset:],
+                    values=block.values[offset:],
+                    push_now=block.push_now,
                 )
-                if offset:
-                    if offset >= len(block):
-                        continue
-                    block = Block(
-                        name=block.name,
-                        times=block.times[offset:],
-                        values=block.values[offset:],
-                        push_now=block.push_now,
-                    )
-                yield Position(seg_index, block_index, offset), block
+            yield Position(seg_index, block_index, offset), block
 
     def signal_sample_counts(self) -> Dict[str, int]:
         """Per-signal sample totals, straight from the block table.

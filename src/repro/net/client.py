@@ -7,9 +7,10 @@ A :class:`ScopeClient` wraps an endpoint and timestamps outgoing samples
 with its local clock (remote machines have their own clocks; the
 display-delay mechanism absorbs skew up to the configured delay).  Sends
 are asynchronous and corked: :meth:`~ScopeClient.send_samples` encodes
-one frame and queues it, and the transport is written once per loop
-iteration, by an I/O watch that fires when the endpoint is writable.
-The application stays single-threaded and non-blocking, as Section 4.3
+one frame and queues it in the client's
+:class:`~repro.net.transport.Outbox`, the one writer of queued frames,
+whose writable watch writes the queue once per loop iteration.  The
+application stays single-threaded and non-blocking, as Section 4.3
 prescribes, and pays for encoding only.
 
 One watch dispatch writes everything queued while the transport takes
@@ -29,14 +30,14 @@ Two wire modes (see :mod:`repro.net.protocol`):
 * ``"text"`` — the paper's newline-delimited tuple lines, for servers
   and tools that only speak the textual format.
 
-Control frames (the HELLO handshake and name definitions) live in a
-separate queue that back-pressure never drops — dropping a ``NAME_DEF``
-would orphan every later frame that references its id — and go out
-ahead of queued data.  QUERY frames are the exception to "ahead":
-:meth:`~ScopeClient.subscribe` writes the data already queued first, so
-a subscription starts after the samples sent before it.  The data-frame
-queue is bounded by ``max_queue``; overflow first tries the transport,
-then drops the oldest whole frame, except a partially-transmitted head
+Control frames (the HELLO handshake and name definitions) queue ahead
+of every data frame not yet started, and back-pressure never drops them
+— dropping a ``NAME_DEF`` would orphan every later frame that
+references its id.  QUERY frames queue ahead too, but
+:meth:`~ScopeClient.subscribe` first writes the data already queued, so
+a subscription starts after the samples sent before it.  Data frames
+are bounded by ``max_queue``; overflow first tries the transport, then
+drops the oldest whole frame, except a partially-transmitted head
 frame, which is never dropped (that would cut the byte stream mid-frame
 and corrupt the connection).
 
@@ -77,9 +78,7 @@ already delivered.
 from __future__ import annotations
 
 import random
-from collections import deque
-from itertools import islice
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -101,7 +100,7 @@ from repro.net.protocol import (
     encode_sample,
     encode_samples,
 )
-from repro.net.transport import CHUNK_BYTES, TransportClosed
+from repro.net.transport import Outbox, TransportClosed
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 
@@ -263,21 +262,15 @@ class ScopeClient:
             raise ValueError(
                 f"need 0 < base <= cap: base={backoff_base_ms}, cap={backoff_cap_ms}"
             )
-        self.endpoint = endpoint
         self.loop = loop
         self.max_queue = max_queue
         self.mode = mode
-        # Each queued data frame is [bytes, sample_count, sent_offset]:
-        # batched sends put N samples into one frame (counters stay in
-        # samples), and the full frame bytes are kept until the frame is
-        # completely on the wire so a reconnect can resend from byte 0.
-        self._pending: Deque[List] = deque()
-        # Control frames (HELLO, NAME_DEF): flushed before data, never
-        # dropped, bounded by the number of distinct signal names.
-        self._control: Deque[bytes] = deque()
+        # The session stream.  A data frame counts its samples and keeps
+        # its full bytes until wholly written, so a reconnect can resend
+        # it from byte 0; control frames count 0 and queue ahead.
+        self._out = Outbox(loop, endpoint, self._begin_reconnect)
         self._name_ids: Dict[str, int] = {}
         self._hello_queued = False
-        self._watch_id: Optional[int] = None
         self._connect = connect
         self._backoff_base = float(backoff_base_ms)
         self._backoff_cap = float(backoff_cap_ms)
@@ -286,6 +279,11 @@ class ScopeClient:
         self._retry_id: Optional[int] = None
         self._closed = False
         self._cells: Dict[str, Counter] = {k: Counter(k) for k in _COUNTER_FIELDS}
+        self._cells.update(
+            sent=self._out.count_sent,
+            sent_frames=self._out.frames_sent,
+            bytes_sent=self._out.bytes_sent,
+        )
         # Subscription plane (armed by the first subscribe()): the
         # server→client stream needs its own decoder, name table and IN
         # watch; all three reset on reconnect (new session, new ids).
@@ -309,24 +307,30 @@ class ScopeClient:
         return self.loop.clock
 
     @property
+    def endpoint(self):
+        """The current transport endpoint (a reconnect replaces it)."""
+        return self._out.endpoint
+
+    @property
     def dropped(self) -> int:
         """Samples shed by queue overflow (alias of ``dropped_samples``)."""
         return self.dropped_samples
 
     @property
-    def _head_partial(self) -> bool:
-        return bool(self._pending) and self._pending[0][2] > 0
+    def _control(self) -> int:
+        """Control frames queued and not yet wholly written."""
+        return len(self._out.frames) - self._out.counted
 
     def _intern(self, name: str) -> int:
         """Intern a signal name, queueing its NAME_DEF on first use."""
         name_id = self._name_ids.get(name)
         if name_id is None:
             if not self._hello_queued:
-                self._control.append(encode_hello())
+                self._out.queue(encode_hello(), ahead=True)
                 self._hello_queued = True
             name_id = len(self._name_ids)
             self._name_ids[name] = name_id
-            self._control.append(encode_name_def(name_id, name))
+            self._out.queue(encode_name_def(name_id, name), ahead=True)
         return name_id
 
     def send_sample(
@@ -391,53 +395,20 @@ class ScopeClient:
         self._enqueue(frame, n)
 
     def _enqueue(self, frame: bytes, nsamples: int) -> None:
-        if len(self._pending) >= self.max_queue:
+        out = self._out
+        if out.counted >= self.max_queue:
             # A corked queue may only be waiting for the loop: offer it
             # to the transport before shedding anything.
             self._try_flush()
-        if len(self._pending) >= self.max_queue:
-            # Drop the oldest *whole* frame.  A partially-sent head frame
-            # must survive — truncating it mid-frame would desynchronise
-            # the byte stream and the server would disconnect us.
-            drop_at = 1 if self._head_partial else 0
-            if drop_at < len(self._pending):
-                if drop_at == 0:
-                    _, dropped_count, _ = self._pending.popleft()
-                else:
-                    _, dropped_count, _ = self._pending[drop_at]
-                    del self._pending[drop_at]
-                self._cells["dropped_samples"].inc(dropped_count)
-                self._cells["dropped_frames"].inc()
-            # else: the only queued frame is mid-transmission; overshoot
-            # the bound by one frame rather than corrupt the stream.
-        self._pending.append([frame, nsamples, 0])
-        self._arm()
-
-    def _arm(self) -> None:
-        """See queued frames out: a reconnect when the link is dead (a
-        dead link may never read writable, so a watch would wait on it
-        forever), else the writable watch."""
-        if self._closed:
-            return
-        if self._link_down():
-            self._begin_reconnect()
-        elif (
-            self._watch_id is None
-            and self._retry_id is None
-            and (self._pending or self._control)
-        ):
-            self._watch_id = self.loop.io_add_watch(
-                self.endpoint, IOCondition.OUT, self._on_writable
-            )
-
-    def _on_writable(self, channel, condition) -> bool:
-        self._try_flush(writable=True)
-        if self._watch_id is None:
-            return False  # reconnect tore this watch down mid-dispatch
-        if not self._pending and not self._control:
-            self._watch_id = None
-            return False  # drop the watch until there is data again
-        return True
+            if out.counted >= self.max_queue:
+                # Drop the oldest *whole* frame; with only a cut head
+                # left, overshoot the bound by one frame rather than cut
+                # the stream.
+                dropped = out.drop_oldest()
+                if dropped:
+                    self._cells["dropped_samples"].inc(dropped)
+                    self._cells["dropped_frames"].inc()
+        out.queue(frame, nsamples)
 
     # ------------------------------------------------------------------
     # Subscriptions (the continuous-query plane)
@@ -477,13 +448,13 @@ class ScopeClient:
         # first: the subscription then starts after the samples sent
         # before it, as if every send had gone out at once.
         self._try_flush()
-        if not self._hello_queued:
-            self._control.append(encode_hello())
-            self._hello_queued = True
-        self._control.append(self._query_preamble(sub))
-        self._control.append(encode_query({"op": "subscribe", "id": qid}))
         self._ensure_rx_watch()
-        self._arm()
+        out = self._out
+        if not self._hello_queued:
+            out.queue(encode_hello(), ahead=True)
+            self._hello_queued = True
+        out.queue(self._query_preamble(sub), ahead=True)
+        out.queue(encode_query({"op": "subscribe", "id": qid}), ahead=True)
         return sub
 
     def _query_preamble(self, sub: Subscription) -> bytes:
@@ -497,8 +468,7 @@ class ScopeClient:
         if self._closed:
             return
         self._try_flush()  # data sent before the unsubscribe still counts
-        self._control.append(encode_query({"op": "unsubscribe", "id": sub.qid}))
-        self._arm()
+        self._out.queue(encode_query({"op": "unsubscribe", "id": sub.qid}), ahead=True)
 
     @property
     def subscriptions(self) -> List[Subscription]:
@@ -575,25 +545,20 @@ class ScopeClient:
     @property
     def connected(self) -> bool:
         """True while the current endpoint looks usable."""
-        return not (self._closed or self._link_down())
+        return not (self._closed or self._out.link_down)
 
     @property
     def reconnecting(self) -> bool:
         """True while a reconnect attempt is scheduled."""
         return self._retry_id is not None
 
-    def _link_down(self) -> bool:
-        # getattr-based: test doubles and exotic transports need only
-        # the Pollable surface, not the full endpoint state machine.
-        return getattr(self.endpoint, "closed", False) or getattr(
-            self.endpoint, "peer_closed", False
-        )
-
     def _begin_reconnect(self) -> None:
-        """Tear down the dead connection; arm the backoff timer if able."""
-        if self._watch_id is not None:
-            self.loop.remove(self._watch_id)
-            self._watch_id = None
+        """Tear down the dead connection; arm the backoff timer if able.
+
+        The outbox calls this when its link goes down (a failed send, or
+        an endpoint reporting itself or its peer closed), and so does
+        the read path."""
+        self._out.unwatch()
         if self._rx_watch_id is not None:
             self._rx_teardown()
         if not getattr(self.endpoint, "closed", True):
@@ -620,129 +585,46 @@ class ScopeClient:
             self._attempts += 1
             self._schedule_retry()
             return False
-        self.endpoint = endpoint
+        self._out.endpoint = endpoint
         self._cells["reconnects"].inc()
         self._attempts = 0
-        # The new server session has no memory of the old one: replay the
-        # session preamble (HELLO + every interned NAME_DEF, in id order)
-        # ahead of any queued data frame that references those ids.
-        self._control.clear()
+        if self._subs:
+            self._rx_teardown()  # fresh decoder + name table for the new session
+            self._ensure_rx_watch()
+        # The new server session has no memory of the old one.  Control
+        # frames queued for the old session go; data frames keep their
+        # place, a half-sent head restarting from byte 0 (the fresh
+        # session never saw its first half, and every fully-sent frame
+        # was already popped, so nothing is duplicated).
+        out = self._out
+        data = [entry for entry in out.frames if entry[1]]
+        out.clear()
+        for frame, nsamples in data:
+            out.queue(frame, nsamples)
+        # Replay the session preamble (HELLO + every interned NAME_DEF,
+        # in id order) ahead of the data frames that reference those ids.
         if self._hello_queued:
-            self._control.append(encode_hello())
+            out.queue(encode_hello(), ahead=True)
             for name, name_id in sorted(self._name_ids.items(), key=lambda kv: kv[1]):
-                self._control.append(encode_name_def(name_id, name))
+                out.queue(encode_name_def(name_id, name), ahead=True)
         # Re-establish every active subscription: the fresh session
         # recompiles (sharing the same canonical plan server-side) and
         # resumes the derived stream; each Subscription's monotonic
         # guard sheds any overlap, so nothing is delivered twice.
-        if self._subs:
-            self._rx_teardown()  # fresh decoder + name table for the new session
-            for sub in self._subs.values():
-                self._control.append(self._query_preamble(sub))
-                self._control.append(
-                    encode_query({"op": "subscribe", "id": sub.qid})
-                )
-            self._ensure_rx_watch()
-        # A half-sent head frame restarts from byte 0 — the fresh
-        # session never saw its first half, and every fully-sent frame
-        # was already popped, so nothing is duplicated.
-        if self._pending:
-            self._pending[0][2] = 0
-        self._arm()
+        for sub in self._subs.values():
+            out.queue(self._query_preamble(sub), ahead=True)
+            out.queue(encode_query({"op": "subscribe", "id": sub.qid}), ahead=True)
         return False  # one-shot timer either way
 
-    def _try_flush(self, writable: bool = False) -> None:
-        """Write what the transport takes now; a dead link reconnects.
-
-        ``writable`` says the caller has just seen the endpoint writable
-        (the watch's own probe), so the first write skips a second one.
-        """
-        if self._closed:
-            return
-        if self._link_down():
-            self._begin_reconnect()
-            return
-        try:
-            while (self._pending or self._control) and (
-                writable or self.endpoint.writable()
-            ):
-                writable = False
-                if not self._write():
-                    return  # a short write: the transport is full
-        except BlockingIOError:
-            # The watch's probe went stale: an earlier callback of this
-            # iteration filled the socket.  Nothing was taken; retry on
-            # the next dispatch.
-            return
-        except OSError:  # TransportClosed, or a reset/broken socket
-            self._begin_reconnect()
-
-    def _write(self) -> bool:
-        """One ``send`` of queued frames; True if the transport took it all.
-
-        Wire order: the rest of a partly sent head frame (anything else
-        would land mid-frame and desynchronise the stream), then the
-        control frames (a NAME_DEF must precede the first data frame
-        using its id), then data frames — but data only once every
-        control frame is in.  Whole frames join while the write stays
-        within :data:`CHUNK_BYTES`; the first frame goes even when it is
-        longer, alone and uncopied.  A short write leaves the cut frame
-        queued with its full bytes and its offset (a reconnect resends
-        it from byte 0); every frame the transport took is popped.
-        """
-        control = self._control
-        pending = self._pending
-        parts: List[bytes] = []
-        queues: List[Deque] = []
-        size = 0
-        first = 0
-        if self._head_partial:
-            frame, _, offset = pending[0]
-            parts.append(frame[offset:])
-            queues.append(pending)
-            size = len(parts[0])
-            first = 1
-        for buf in control:
-            if parts and size + len(buf) > CHUNK_BYTES:
-                break
-            parts.append(buf)
-            queues.append(control)
-            size += len(buf)
-        else:
-            for entry in islice(pending, first, None):
-                frame = entry[0]
-                if parts and size + len(frame) > CHUNK_BYTES:
-                    break
-                parts.append(frame)
-                queues.append(pending)
-                size += len(frame)
-        sent = self.endpoint.send(parts[0] if len(parts) == 1 else b"".join(parts))
-        cells = self._cells
-        cells["bytes_sent"].inc(sent)
-        whole = sent == size
-        samples = frames = 0
-        for part, queue in zip(parts, queues):
-            if sent < len(part):
-                if queue is control:
-                    control[0] = part[sent:]
-                else:
-                    pending[0][2] += sent
-                break
-            sent -= len(part)
-            if queue is control:
-                control.popleft()
-            else:
-                samples += pending.popleft()[1]
-                frames += 1
-        if frames:
-            cells["sent"].inc(samples)
-            cells["sent_frames"].inc(frames)
-        return whole
+    def _try_flush(self) -> None:
+        """Write what the transport takes now; a dead link reconnects."""
+        if not self._closed:
+            self._out.flush()
 
     @property
     def backlog(self) -> int:
         """Data frames queued locally, waiting for the transport."""
-        return len(self._pending)
+        return self._out.counted
 
     def totals(self) -> Dict[str, int]:
         """Client-side ledger, mirroring ``ScopeServer.totals()``.
@@ -755,8 +637,8 @@ class ScopeClient:
             "sent_frames": self._cells["sent_frames"].value,
             "dropped_samples": self._cells["dropped_samples"].value,
             "dropped_frames": self._cells["dropped_frames"].value,
-            "backlog_frames": len(self._pending),
-            "backlog_samples": sum(entry[1] for entry in self._pending),
+            "backlog_frames": self._out.counted,
+            "backlog_samples": self._out.count,
             "reconnects": self._cells["reconnects"].value,
         }
 
@@ -769,12 +651,10 @@ class ScopeClient:
         """
         for key in _COUNTER_FIELDS:
             registry.mount(prefix + key, self._cells[key])
-        registry.gauge(
-            f"{prefix}backlog_frames", fn=lambda: float(len(self._pending))
-        )
+        registry.gauge(f"{prefix}backlog_frames", fn=lambda: float(self._out.counted))
         registry.gauge(
             f"{prefix}backlog_samples",
-            fn=lambda: float(sum(entry[1] for entry in self._pending)),
+            fn=lambda: float(self._out.count),
         )
         registry.gauge(
             f"{prefix}subscriptions", fn=lambda: float(len(self._subs))
@@ -785,9 +665,7 @@ class ScopeClient:
         then stop the watches and cancel any reconnect."""
         self._try_flush()
         self._closed = True
-        if self._watch_id is not None:
-            self.loop.remove(self._watch_id)
-            self._watch_id = None
+        self._out.unwatch()
         if self._rx_watch_id is not None:
             self.loop.remove(self._rx_watch_id)
             self._rx_watch_id = None

@@ -40,26 +40,27 @@ drops the shared evaluation, counting it in :meth:`QueryMultiplexer.stats`.
 
 Fan-out cost model: one derived batch is **encoded once per distinct
 wire id** and the same immutable bytes are handed to every subscriber's
-transmit queue, so the marginal cost of subscriber N is an enqueue and
-a transport send of shared bytes — no per-subscriber encode, no
-per-subscriber evaluation.  That is what makes 1k subscribers on one
-view cost close to one (benchmark X12e pins the <2x target).
+:class:`~repro.net.transport.Outbox` (the one writer of queued frames),
+which writes them at once, so the marginal cost of subscriber N is an
+enqueue and a transport send of shared bytes — no per-subscriber
+encode, no per-subscriber evaluation.  That is what makes 1k
+subscribers on one view cost close to one: benchmark X12e
+(``query-fanout-1k``) bounds the marginal cost per subscriber per batch
+at ``FANOUT_MARGINAL_CEILING_US`` (20 µs).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.cells import NULL, Counter
-from repro.eventloop.sources import IOCondition
 from repro.net.protocol import (
     ProtocolError,
     encode_binary_samples,
     encode_name_def,
     encode_query,
 )
-from repro.net.transport import TransportClosed
+from repro.net.transport import Outbox
 from repro.query import (
     LiveQuery,
     Plan,
@@ -88,14 +89,18 @@ _COUNTER_FIELDS = (
 
 
 class _SessionTx:
-    """Server→client transmit queue for one subscriber session.
+    """Server→client writer for one subscriber session.
 
     The server's receive path never writes; subscriptions make sessions
-    full-duplex.  Sends are try-first: most transports (the in-memory
-    pair always, sockets usually) take the whole buffer immediately, and
-    only a partial write arms an OUT watch to drain the rest.  Queued
-    entries are immutable ``bytes`` shared across subscribers — the
-    queue holds references, never copies.
+    full-duplex.  Frames go through an
+    :class:`~repro.net.transport.Outbox` that writes each one at once
+    (try-first), so a link that keeps up (the in-memory pair always,
+    sockets usually) takes every frame in the call that made it, and
+    only a short or full write leaves bytes for the outbox's writable
+    watch.  Queued frames are immutable ``bytes`` shared across
+    subscribers — the queue holds references, never copies.  A link
+    that fails marks the session down: it stops queueing, and the
+    server's read path owns the disconnect.
 
     Each session has its own server→client name interning (ids must be
     unique per connection across *all* its subscriptions), kept separate
@@ -103,13 +108,9 @@ class _SessionTx:
     """
 
     def __init__(self, loop, endpoint) -> None:
-        self.loop = loop
-        self.endpoint = endpoint
         self.name_ids: Dict[str, int] = {}
-        self._queue: Deque[bytes] = deque()
-        self._head_offset = 0
-        self._watch_id: Optional[int] = None
         self.down = False
+        self._out = Outbox(loop, endpoint, self.close)
 
     def intern(self, name: str) -> int:
         """Wire id for ``name``, queueing its NAME_DEF on first use."""
@@ -121,75 +122,13 @@ class _SessionTx:
         return name_id
 
     def send(self, data: bytes) -> None:
-        if self.down:
-            return
-        if not self._queue:
-            # Fast path (the fan-out hot loop lands here): nothing
-            # queued, try the whole buffer in one transport call.
-            try:
-                sent = self.endpoint.send(data)
-            except BlockingIOError:
-                sent = 0  # kernel buffer full; fall through to the queue
-            except (TransportClosed, OSError):
-                self._mark_down()
-                return
-            if sent == len(data):
-                return
-            self._head_offset = sent
-            self._queue.append(data)
-            self._ensure_watch()
-            return
-        self._queue.append(data)
-        self._drain()
-
-    def _drain(self) -> None:
-        while self._queue:
-            head = self._queue[0]
-            try:
-                if not self.endpoint.writable():
-                    self._ensure_watch()
-                    return
-                sent = self.endpoint.send(
-                    head[self._head_offset :] if self._head_offset else head
-                )
-            except (TransportClosed, OSError):
-                self._mark_down()
-                return
-            self._head_offset += sent
-            if self._head_offset < len(head):
-                self._ensure_watch()
-                return
-            self._queue.popleft()
-            self._head_offset = 0
-        self._remove_watch()
-
-    def _ensure_watch(self) -> None:
-        if self._watch_id is None and not self.down:
-            self._watch_id = self.loop.io_add_watch(
-                self.endpoint, IOCondition.OUT, self._on_writable
-            )
-
-    def _on_writable(self, channel, condition) -> bool:
-        self._drain()
-        return self._watch_id is not None
-
-    def _remove_watch(self) -> None:
-        if self._watch_id is not None:
-            self.loop.remove(self._watch_id)
-            self._watch_id = None
-
-    def _mark_down(self) -> None:
-        # The read path owns the disconnect; we just stop queueing.
-        self.down = True
-        self._queue.clear()
-        self._head_offset = 0
-        self._remove_watch()
+        if not self.down:
+            self._out.send(data)
 
     def close(self) -> None:
-        self._remove_watch()
-        self._queue.clear()
-        self._head_offset = 0
+        """Stop for good: drop the queued frames and the watch."""
         self.down = True
+        self._out.clear()
 
 
 class _Session:

@@ -11,6 +11,10 @@ Both endpoint kinds satisfy the
   the stand-in for the paper's wide-area network between mxtraf hosts.
 * :func:`socket_pair` — a real non-blocking ``socket.socketpair``, used
   by integration tests to prove the code path works on actual sockets.
+
+:class:`Outbox` is the one writer of queued frames in :mod:`repro.net`:
+the client's send queue, the router→worker link and every subscriber
+session's fan-out each write through one.
 """
 
 from __future__ import annotations
@@ -18,14 +22,17 @@ from __future__ import annotations
 import select
 import socket
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, Deque, List, Optional, Tuple
 
+from repro.core.cells import Counter
 from repro.eventloop.clock import Clock
+from repro.eventloop.sources import IOCondition
 
-#: The most bytes one endpoint ``recv`` returns, and so the most the
-#: client's send queue joins into one ``send`` (a joined write is one
-#: read at the server).  A worker link's pending buffer is written at
-#: once when it reaches this size.
+#: The most bytes one endpoint ``recv`` returns, and so the most an
+#: :class:`Outbox` joins into one ``send`` by default (a joined write is
+#: one read at the far end).  A worker link writes at once when this
+#: much waits.
 CHUNK_BYTES = 1 << 16
 
 
@@ -264,3 +271,207 @@ def socket_pair(labels: Tuple[str, str] = ("client", "server")) -> Tuple[SocketE
     """A connected non-blocking ``socketpair`` as two endpoints."""
     a, b = socket.socketpair()
     return SocketEndpoint(a, labels[0]), SocketEndpoint(b, labels[1])
+
+
+class Outbox:
+    """The one writer of queued frames to an endpoint.
+
+    Frames queue whole, oldest first.  Each write (one
+    ``endpoint.send``) joins whole frames while it stays within
+    ``chunk_bytes``, one read at the far end; the first frame goes even
+    when it is longer, alone and uncopied.  A short write leaves the cut
+    frame at the head, whole, with the offset of its first unsent byte;
+    every frame the transport took is popped.
+
+    A frame comes in one of two ways, one per policy: :meth:`queue`
+    corks it for the writable watch on ``loop``, which the outbox holds
+    only while frames wait; :meth:`send` writes it at once (try-first).
+    :meth:`flush` writes what waits on demand.  A write raising
+    :class:`BlockingIOError` means the transport is full: nothing was
+    taken, and the watch tries later.  Any other :class:`OSError`, or an
+    endpoint reporting itself or its peer closed, means the link is
+    down: the watch goes and ``on_down()`` runs.  What follows (a
+    reconnect, or silence) is the owner's policy.
+
+    Each frame carries a count for its owner: the client's sample
+    count, 0 for a frame that counts nothing.  The ledger cells count
+    the bytes the transport took and, for every counted frame written
+    whole, the frame and its count.
+    """
+
+    def __init__(
+        self,
+        loop,
+        endpoint,
+        on_down: Callable[[], None],
+        chunk_bytes: int = CHUNK_BYTES,
+    ) -> None:
+        self.loop = loop
+        self.endpoint = endpoint
+        self.on_down = on_down
+        self.chunk_bytes = chunk_bytes
+        self.frames: Deque[Tuple[bytes, int]] = deque()
+        self.offset = 0  # bytes of the head frame already written
+        self.lead = 0  # frames an ``ahead`` frame queues behind
+        self.pending = 0  # bytes queued, not yet written
+        self.counted = 0  # queued frames with a count
+        self.count = 0  # the sum of their counts
+        self.bytes_sent = Counter()
+        self.frames_sent = Counter()
+        self.count_sent = Counter()
+        self._watch_id: Optional[int] = None
+
+    @property
+    def link_down(self) -> bool:
+        # getattr-based: test doubles and exotic transports need only
+        # the Pollable surface, not the full endpoint state machine.
+        endpoint = self.endpoint
+        return getattr(endpoint, "closed", False) or getattr(
+            endpoint, "peer_closed", False
+        )
+
+    def queue(self, frame: bytes, count: int = 0, ahead: bool = False) -> None:
+        """Queue one whole frame for the watch to write.
+
+        Nothing is written here: the outbox holds its watch, or reports
+        a link already down at once (a dead link may never read
+        writable, so a watch would wait on it forever).  An ``ahead``
+        frame goes before every frame not yet started, behind a cut head
+        and the ahead frames queued before it (the client's control
+        frames: a NAME_DEF precedes the data using its id, and nothing
+        may land inside a cut frame).
+        """
+        if ahead:
+            self.frames.insert(self.lead, (frame, count))
+            self.lead += 1
+        else:
+            self.frames.append((frame, count))
+        self.pending += len(frame)
+        if count:
+            self.counted += 1
+            self.count += count
+        endpoint = self.endpoint  # link_down, inline: this runs per frame
+        if getattr(endpoint, "closed", False) or getattr(endpoint, "peer_closed", False):
+            self._down()
+        elif self._watch_id is None:
+            self._watch()
+
+    def send(self, frame: bytes) -> None:
+        """Queue one frame and write at once (try-first): a link that
+        keeps up takes it in this call, and only what it leaves waits
+        for the watch."""
+        self.frames.append((frame, 0))
+        self.pending += len(frame)
+        self.flush(writable=True)
+
+    def drop_oldest(self) -> int:
+        """Shed the oldest frame neither started nor queued ahead.
+
+        Returns its count, or 0 when no frame qualifies: a cut head is
+        never dropped, since the far end would lose its frame boundary.
+        """
+        if self.lead >= len(self.frames):
+            return 0
+        frame, count = self.frames[self.lead]
+        del self.frames[self.lead]
+        self.pending -= len(frame)
+        if count:
+            self.counted -= 1
+            self.count -= count
+        return count
+
+    def flush(self, writable: bool = False) -> None:
+        """Write what the transport takes now; the watch keeps the rest.
+
+        Every write is preceded by a ``writable()`` probe except the
+        first when ``writable`` is set: the caller has just seen the
+        endpoint writable (the watch) or tries the write at once.  A
+        short write means the transport is full.
+        """
+        if self.link_down:
+            self._down()
+            return
+        try:
+            while self.frames and (writable or self.endpoint.writable()):
+                writable = False
+                if not self._write():
+                    break
+        except BlockingIOError:
+            pass  # full (a probe can go stale): nothing was taken
+        except OSError:  # TransportClosed, or a reset/broken socket
+            self._down()
+            return
+        if self.frames and self._watch_id is None:
+            self._watch()
+
+    def _watch(self) -> None:
+        self._watch_id = self.loop.io_add_watch(
+            self.endpoint, IOCondition.OUT, self._on_writable
+        )
+
+    def _on_writable(self, channel, condition) -> bool:
+        self.flush(writable=True)
+        if self.frames and self._watch_id is not None:
+            return True
+        self._watch_id = None  # written out, or torn down mid-dispatch
+        return False
+
+    def _write(self) -> bool:
+        """One ``send``; True if the transport took all of it."""
+        frames = self.frames
+        offset = self.offset
+        data = frames[0][0][offset:] if offset else frames[0][0]
+        size = len(data)
+        if size < self.pending:
+            parts = [data]
+            for frame, _ in islice(frames, 1, None):
+                if size + len(frame) > self.chunk_bytes:
+                    break
+                parts.append(frame)
+                size += len(frame)
+            if len(parts) > 1:
+                data = b"".join(parts)
+        sent = self.endpoint.send(data)
+        self.bytes_sent.inc(sent)
+        self.pending -= sent
+        if not self.pending:  # the whole queue went: no frame to walk
+            frames.clear()
+            self.offset = self.lead = 0
+            if self.counted:
+                self.frames_sent.inc(self.counted)
+                self.count_sent.inc(self.count)
+                self.counted = self.count = 0
+            return True
+        done = offset + sent
+        popped = count = counted = 0
+        while done >= len(frames[0][0]):
+            frame, n = frames.popleft()
+            done -= len(frame)
+            popped += 1
+            if n:
+                count += n
+                counted += 1
+        self.offset = done
+        lead = self.lead - popped
+        self.lead = lead if lead > 0 else (1 if done else 0)
+        if counted:
+            self.counted -= counted
+            self.count -= count
+            self.count_sent.inc(count)
+            self.frames_sent.inc(counted)
+        return sent == size
+
+    def unwatch(self) -> None:
+        if self._watch_id is not None:
+            self.loop.remove(self._watch_id)
+            self._watch_id = None
+
+    def clear(self) -> None:
+        """Drop every queued frame, and the watch."""
+        self.unwatch()
+        self.frames.clear()
+        self.offset = self.lead = self.pending = self.counted = self.count = 0
+
+    def _down(self) -> None:
+        self.unwatch()
+        self.on_down()

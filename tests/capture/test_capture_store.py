@@ -450,6 +450,68 @@ class TestIterBlocksFilter:
         reader = CaptureReader(tmp_path / "cap")
         assert len(list(reader.iter_blocks())) == 2
 
+    @pytest.mark.parametrize("names", [["gappy"], ["wide", "solo"], ["absent"]])
+    def test_filtered_walk_is_the_full_walk_filtered(self, tmp_path, names):
+        """On a multi-segment store where ``gappy`` misses segments, from
+        a segment start, mid-segment, mid-block and the end, the
+        filtered walk yields the wanted blocks of the full walk at the
+        same positions, and CRC-checks only the blocks it yields."""
+        path = spread_store(tmp_path / "cap")
+        with CaptureReader(path) as reader:
+            full = list(reader.iter_blocks())
+            gappy_free = next(
+                k for k, segment in enumerate(reader.segments) if "gappy" not in segment.names
+            )
+            starts = [
+                Position(),
+                Position(segment=gappy_free),
+                Position(segment=1, block=2),
+                Position(segment=1, block=3, offset=5),
+                reader.end_position(),
+            ]
+            assert 5 < len(reader.segments[1].block(3))  # a real mid-block start
+        for start in starts:
+            with CaptureReader(path) as reader:
+                want = [
+                    (pos, block)
+                    for pos, block in reader_walk(full, start)
+                    if block.name in names
+                ]
+                got = list(reader.iter_blocks(start, names=names))
+                assert [pos for pos, _ in got] == [pos for pos, _ in want]
+                for (_, a), (_, b) in zip(got, want):
+                    assert a.name == b.name and a.push_now == b.push_now
+                    assert a.times.tobytes() == b.times.tobytes()
+                    assert a.values.tobytes() == b.values.tobytes()
+                verified = {
+                    (k, int(i))
+                    for k, segment in enumerate(reader.segments)
+                    for i in np.flatnonzero(segment._verified)
+                }
+                assert verified == {(pos.segment, pos.block) for pos, _ in got}
+
+
+def reader_walk(full, start):
+    """The blocks of a full walk from ``start`` on, the block at
+    ``start`` sliced from its offset (and dropped if that empties it)."""
+    out = []
+    for pos, block in full:
+        key = (pos.segment, pos.block)
+        if key < (start.segment, start.block):
+            continue
+        if key == (start.segment, start.block) and start.offset:
+            if start.offset >= len(block):
+                continue
+            pos = Position(pos.segment, pos.block, start.offset)
+            block = type(block)(
+                name=block.name,
+                times=block.times[start.offset :],
+                values=block.values[start.offset :],
+                push_now=block.push_now,
+            )
+        out.append((pos, block))
+    return out
+
 
 def spread_store(path):
     """A multi-segment store: ``wide`` has blocks in every segment,

@@ -653,6 +653,25 @@ class TestCorkedSend:
         assert second.stream == preamble + frames[1] + frames[2]
         assert (client.sent_frames, client.backlog) == (3, 0)
 
+    def test_reconnect_drops_the_old_sessions_control_frames(self):
+        """Control frames still queued when the link dies were meant for
+        the old session: the fresh one gets the replayed preamble once,
+        never the old copies as well."""
+        loop = MainLoop()
+        first = RecordingEndpoint(accept=0)  # takes nothing
+        second = RecordingEndpoint()
+        links = iter([second])
+        client = ScopeClient(first, loop, connect=lambda: next(links), backoff_seed=4)
+        values, times = self.batch(0, n=4)
+        client.send_samples("metric", values, times=times)
+        loop.iteration()
+        assert first.stream == b"" and client.backlog == 1
+        first.peer_closed = True
+        loop.run_for(500.0)
+        assert client.reconnects == 1
+        preamble = encode_hello() + encode_name_def(0, "metric")
+        assert second.stream == preamble + encode_binary_samples(0, times, values)
+
     def test_a_full_socket_is_not_a_dead_link(self):
         """The watch's writable probe can go stale within one iteration
         (an earlier callback filled the socket), so its send may raise

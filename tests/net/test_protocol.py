@@ -21,6 +21,7 @@ from repro.net.protocol import (
     WireDecoder,
     decode_lines,
     encode_binary_samples,
+    encode_deliver,
     encode_hello,
     encode_name_def,
     encode_sample,
@@ -286,6 +287,51 @@ class TestFrameDecoder:
         for _ in range(200):  # push enough through to force compaction
             dec.feed(encode_binary_samples(0, times, times))
         np.testing.assert_array_equal(first.times, snapshot)
+
+
+class TestDecodedColumnsAreReadOnly:
+    """Every column ``feed`` returns is read-only, whatever path made it
+    and whatever the caller fed, and owes nothing to the caller's
+    buffer once ``feed`` returns."""
+
+    times = np.arange(40.0)
+    values = np.sin(np.arange(40.0))
+    wire = encode_binary_samples(3, times, values) + encode_deliver(
+        4, 12.5, times, values
+    )
+
+    def check(self, frames):
+        assert len(frames) == 2
+        for frame in frames:
+            for column, expect in ((frame.times, self.times), (frame.values, self.values)):
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = -1.0
+                assert column.tobytes() == expect.tobytes()
+
+    def test_zero_copy_path(self):
+        self.check(FrameDecoder().feed(self.wire))
+
+    def test_carried_path_at_every_cut(self):
+        for cut in range(1, len(self.wire)):
+            dec = FrameDecoder()
+            frames = dec.feed(self.wire[:cut]) + dec.feed(self.wire[cut:])
+            self.check(frames)
+
+    @pytest.mark.parametrize("kind", [bytearray, lambda b: memoryview(bytearray(b))])
+    def test_mutable_chunks_are_not_aliased(self, kind):
+        chunk = kind(self.wire)
+        frames = FrameDecoder().feed(chunk)
+        chunk[:] = bytes(len(self.wire))  # the caller reuses its buffer
+        self.check(frames)
+        for cut in (1, 12, 50, len(self.wire) - 1):
+            head, tail = kind(self.wire[:cut]), kind(self.wire[cut:])
+            dec = FrameDecoder()
+            frames = dec.feed(head)
+            head[:] = bytes(len(head))
+            frames += dec.feed(tail)
+            tail[:] = bytes(len(tail))
+            self.check(frames)
 
 
 class TestWireNegotiation:

@@ -248,6 +248,96 @@ class TestFailures:
         assert len(server.clients) == 1  # the session itself survives
 
 
+class ServerEnd:
+    """The server's end of a subscriber session, keeping every byte its
+    link took.  Its send can fail the way a socket's can: at most
+    ``take`` bytes per call, a ``BlockingIOError`` on the first ``full``
+    calls, or ``error`` raised on every call."""
+
+    def __init__(self, inner, take=None, full=0, error=None) -> None:
+        self._inner = inner
+        self.take = take
+        self.full = full
+        self.error = error
+        self.sends = 0
+        self.stream = bytearray()
+
+    def send(self, data) -> int:
+        self.sends += 1
+        if self.error is not None:
+            raise self.error
+        if self.full:
+            self.full -= 1
+            raise BlockingIOError
+        data = data if self.take is None else data[: self.take]
+        self.stream += data
+        return self._inner.send(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestFanOutBacklog:
+    """A session whose link short-writes or fills queues its frames and
+    writes them through its writable watch, byte for byte."""
+
+    @staticmethod
+    def streams(**faults):
+        """The server ends of two sessions subscribing the same view: a
+        plain one, and one whose send fails as ``faults`` say."""
+        rng = np.random.default_rng(11)
+        loop, manager, server, connect = make_rig()
+        ends = []
+        for end_faults in ({}, faults):
+            near, far = memory_pair(loop.clock)
+            ends.append(ServerEnd(far, **end_faults))
+            server.add_client(ends[-1])
+            ScopeClient(near, loop).subscribe(PROGRAM)
+        loop.run_for(20)
+        producer = ScopeClient(connect(), loop)
+        streams = make_streams(rng, n_per_signal=200)
+        feed_jittered(rng, streams, lambda name, t, v: producer.send_samples(name, v, t))
+        loop.run_for(200)
+        server.queries.shared_queries()[0].live.finish()
+        loop.run_for(100)
+        return ends
+
+    def test_short_writes_deliver_every_frame(self):
+        plain, short = self.streams(take=7)
+        assert len(plain.stream) > 10_000
+        assert short.stream == plain.stream
+        assert short.sends >= len(plain.stream) / 7  # 7 bytes per send, no more
+
+    def test_a_full_link_is_not_a_dead_one(self):
+        plain, full = self.streams(full=1)
+        assert full.full == 0  # the first send raised BlockingIOError
+        assert full.stream == plain.stream
+
+    def test_failed_send_marks_the_session_down_once(self):
+        loop, manager, server, connect = make_rig()
+        near, far = memory_pair(loop.clock)
+        end = ServerEnd(far, error=ConnectionResetError("reset by peer"))
+        server.add_client(end)
+        viewer = ScopeClient(near, loop)
+        viewer.subscribe("y = a * 2")
+        loop.run_for(20)
+        # The "compiled" reply failed: the session is down, with no watch.
+        (session,) = server.queries._sessions.values()
+        tx = session.tx
+        assert tx.down and not tx._out.frames and tx._out._watch_id is None
+        assert end.sends == 1
+        assert server.clients[0].connected  # the read path owns the disconnect
+        producer = ScopeClient(connect(), loop)
+        producer.send_samples("a", [1.0, 2.0], [0.0, 1.0])
+        loop.run_for(20)
+        assert server.queries.stats()["samples_fanned"] > 0
+        assert end.sends == 1  # no send once down
+        viewer.close()
+        loop.run_for(20)
+        assert server.disconnect_reasons == {"eof": 1}
+        assert server.queries.stats()["subscribers"] == 0
+
+
 # ----------------------------------------------------------------------
 # 3. Reconnect: subscriptions survive a killed session, no duplicates
 # ----------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Unit tests for the process-worker plane: handle, lifecycle, drain."""
+"""Unit tests for the process-worker plane: handle, lifecycle, drain.
+
+Also home to the SHA-256 pins of the three outbound streams written
+through :class:`~repro.net.transport.Outbox`: router→worker, client→
+server and server→subscriber.
+"""
 
 import base64
 import hashlib
@@ -7,9 +12,19 @@ import numpy as np
 import pytest
 
 from repro.capture.format import CaptureFormatError
+from repro.core.manager import ScopeManager
 from repro.core.signal import buffer_signal
 from repro.eventloop.loop import MainLoop
-from repro.net import ProcessShardedScopeManager, WorkerDied, encode_control, shard_of
+from repro.net import (
+    ProcessShardedScopeManager,
+    ScopeClient,
+    ScopeServer,
+    WorkerDied,
+    encode_control,
+    memory_pair,
+    shard_of,
+)
+from repro.net.protocol import FrameDecoder
 from repro.net.worker import WorkerHandle
 
 SIGNALS = ["alpha", "beta", "gamma", "delta"]
@@ -21,6 +36,22 @@ PINNED_STREAMS = [
     "b02d9a7ad286665ab725f6daa884e8ebb69bda3b6eba71b016cab6e8628a2328",
     "aeafa125e18fdfba01764bb70d61b4a69af7a62c76e6eeb7428041970a5e3db5",
 ]
+#: SHA-256 of what each link took in
+#: ``test_client_to_server_stream_is_pinned`` (the link cut mid-frame,
+#: then its replacement), taken from a client with its own writer.
+PINNED_CLIENT_STREAMS = [
+    "ddcb5cf093876d9942fbe8c10efaffa88ef5f9cc812a33be0091d10a9312582f",
+    "ed55abc3f877b6db570f3c6ac73dc739978991794510860f197ee7a5330aa330",
+]
+#: SHA-256 of what each of the two viewers reads in
+#: ``test_server_to_subscriber_streams_are_pinned``, taken from a server
+#: whose sessions had their own writer.
+PINNED_FANOUT_STREAMS = [
+    "2b5c2668b68fbba141275a3b0fbc170b7d22428aa4694f16e9fc8fa38f17d624",
+    "1b0288b32233daa43ab8cd47f943f3a4bc02b722f20caafac6c8ccaaac4cf132",
+]
+#: Bytes a :class:`CuttingEndpoint` takes, in turn, one per send.
+CUTS = [1, 5, 12, 13, 100, 2063, 4096, 40_000]
 
 
 def factory(manager, shard_id):
@@ -139,9 +170,9 @@ class TestWorkerHandle:
             handle.close()
 
     def test_pending_buffer_bounded_while_socket_backed_up(self):
-        """A socket that never takes the last byte keeps the buffer
-        non-empty forever; the already-sent prefix must still be
-        released, so router memory stays bounded."""
+        """A socket that never takes the last byte keeps the queue
+        non-empty forever; every frame it did take must still leave the
+        queue, so router memory stays bounded."""
 
         class BackedUpSocket:
             def send(self, data):
@@ -150,18 +181,19 @@ class TestWorkerHandle:
                 return len(data) - 1
 
         handle = WorkerHandle(0, factory, loop=MainLoop())
-        real = handle.sock
+        real = handle.endpoint.sock
         try:
-            handle.sock = BackedUpSocket()
+            handle.endpoint.sock = BackedUpSocket()
             batch = np.zeros(1024)
             peak = 0
             while handle.bytes_sent < 1 << 20:
                 handle.deliver(100.0, "alpha", batch, batch)
-                peak = max(peak, len(handle._pending))
+                held = sum(len(frame) for frame, _ in handle._out.frames)
+                peak = max(peak, held)
             assert handle.pending_bytes == 1
             assert peak < 256 << 10
         finally:
-            handle.sock = real
+            handle.endpoint.sock = real
             handle.kill()
             handle.close()
 
@@ -227,8 +259,8 @@ class TestProcessShardedScopeManager:
             links = []
             for shard_id in mgr.shard_ids:
                 handle = mgr.handle_of(shard_id)
-                handle.sock = RecordingSocket(handle.sock)
-                links.append(handle.sock)
+                handle.endpoint.sock = RecordingSocket(handle.endpoint.sock)
+                links.append(handle.endpoint.sock)
             for step in range(48):
                 name = SIGNALS[int(rng.integers(0, len(SIGNALS)))]
                 n = int(rng.choice([1, 7, 128, 2048, 6000]))
@@ -241,3 +273,128 @@ class TestProcessShardedScopeManager:
             mgr.drain(timeout_s=60.0)
             digests = [hashlib.sha256(link.stream).hexdigest() for link in links]
         assert digests == PINNED_STREAMS
+
+
+class CuttingEndpoint:
+    """A client link that takes the next of ``CUTS`` bytes per send and
+    keeps every byte it took, in order."""
+
+    def __init__(self, turn: int = 0) -> None:
+        self.turn = turn
+        self.stream = bytearray()
+        self.closed = False
+        self.peer_closed = False
+
+    def readable(self) -> bool:
+        return False
+
+    def writable(self) -> bool:
+        return not self.closed
+
+    def send(self, data) -> int:
+        taken = min(CUTS[self.turn % len(CUTS)], len(data))
+        self.turn += 1
+        self.stream += bytes(data)[:taken]
+        return taken
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class RecordingLink:
+    """A subscriber's endpoint that keeps every byte it reads."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.stream = bytearray()
+
+    def recv(self, max_bytes: int = 1 << 16) -> bytes:
+        chunk = self._inner.recv(max_bytes)
+        self.stream += chunk
+        return chunk
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_client_to_server_stream_is_pinned():
+    """A seeded multi-signal run of scalar, small, large and
+    past-one-chunk frames over links that short-write at eight cut
+    sizes, with the first link dying mid-frame: what each link took is
+    the stream the client's own writer sent."""
+    rng = np.random.default_rng(2027)
+    loop = MainLoop()
+    first, second = CuttingEndpoint(), CuttingEndpoint(turn=3)
+    links = iter([second])
+    client = ScopeClient(first, loop, connect=lambda: next(links), backoff_seed=5)
+    names = ["cwnd", "rtt", "q.depth", "µs", "loss"]
+    for step in range(60):
+        name = names[int(rng.integers(0, len(names)))]
+        n = int(rng.choice([1, 7, 128, 2048, 5000]))
+        if n == 1 and step % 2:
+            client.send_sample(name, float(rng.standard_normal()), time_ms=float(step))
+        else:
+            times = step + np.sort(rng.uniform(0.0, 1.0, n))
+            client.send_samples(name, rng.standard_normal(n), times=times)
+        for _ in range(int(rng.integers(0, 3))):
+            loop.iteration()
+        if step == 30:
+            decoder = FrameDecoder()
+            decoder.feed(bytes(first.stream))
+            assert decoder.pending > 0  # the link dies mid-frame
+            first.peer_closed = True
+            loop.run_for(500.0)
+            assert client.reconnects == 1 and first.closed
+    while client.backlog:
+        loop.iteration()
+    decoder = FrameDecoder()
+    frames = decoder.feed(bytes(second.stream))
+    assert decoder.pending == 0 and frames
+    digests = [hashlib.sha256(link.stream).hexdigest() for link in (first, second)]
+    assert digests == PINNED_CLIENT_STREAMS
+
+
+def test_server_to_subscriber_streams_are_pinned():
+    """Two viewers share one view and each holds one more: over a
+    seeded run, the bytes each session reads are the ones a server
+    whose sessions wrote for themselves sent."""
+    rng = np.random.default_rng(2028)
+    loop = MainLoop()
+    manager = ScopeManager(loop)
+    scope = manager.scope_new("rig", delay_ms=1e12)
+    for name in ("a", "b"):
+        scope.signal_new(buffer_signal(name))
+    server = ScopeServer(loop, manager)
+
+    def connect():
+        near, far = memory_pair(loop.clock)
+        server.add_client(far)
+        return near
+
+    producer = ScopeClient(connect(), loop)
+    views = [
+        ["s = ewma(a, 0.7)", "d = a - 0.5*b"],
+        ["s = ewma(a, 0.7)", "l = sum_over(b, 25)\nm = max(a, b)"],
+    ]
+    links = []
+    for texts in views:
+        link = RecordingLink(connect())
+        viewer = ScopeClient(link, loop)
+        for text in texts:
+            viewer.subscribe(text)
+        links.append(link)
+    loop.run_for(20.0)
+    t = 0.0
+    for _ in range(80):
+        name = "ab"[int(rng.integers(0, 2))]
+        n = int(rng.integers(1, 300))
+        times = t + np.cumsum(rng.uniform(0.01, 0.5, n))
+        t = float(times[-1])
+        producer.send_samples(name, rng.standard_normal(n), times=times)
+        loop.run_for(float(rng.integers(0, 5)))
+    assert len(server.queries.shared_queries()) == 3  # "s" is shared
+    for shared in server.queries.shared_queries():
+        shared.live.finish()
+    loop.run_for(50.0)
+    digests = [hashlib.sha256(link.stream).hexdigest() for link in links]
+    assert digests == PINNED_FANOUT_STREAMS
